@@ -2,9 +2,10 @@
 
 The transform walks the layer stack backwards, replacing every strided
 convolution with a wider unit-stride one over regrouped channels. The
-input image is regrouped the same way, and the flatten order feeding the
-first fully-connected layer is absorbed into its column permutation, so
-the rewritten network computes exactly the same outputs.
+input image is regrouped the same way. The last convolution has output
+multiplicity 1, so its feature map keeps the original flatten order and the
+fully-connected layers are copied as they are: the rewritten network
+computes exactly the same outputs.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from destride import (
     init_params,
     parameter_report,
     reshape_input,
-    sharing_trace,
     transform_network,
     verify_equivalence,
 )
@@ -76,7 +76,7 @@ dev = np.abs(forward(spec, x) - forward(net, reshape_input(x, result.input_map))
 print("single input deviation:", dev)
 
 # the price: transformed layers store the same weights many times over
-rows = parameter_report(spec, net, sharing_trace(spec))
+rows = parameter_report(spec, net, result.sources)
 print("\nlayer  kind              original    stored  replication")
 for row in rows:
     print(f"{row.layer_index:>5}  {row.kind:<16} {row.original_count:>9} "

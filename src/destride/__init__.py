@@ -46,16 +46,14 @@ from .specio import (
     load_document,
     save_document,
 )
-from .tensors import get_element, set_element, slice_region, tensor_product
+from .tensors import tensor_product
 from .transform import (
     CHANNEL_ORDERS,
     ChannelMap,
-    FlattenPermutation,
     TransformResult,
     destride_layer,
     reshape_input,
     sampled_conv_identity,
-    sharing_trace,
     transform_network,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "ChannelMap",
     "ConvLayer",
     "EquivalenceReport",
-    "FlattenPermutation",
     "FullyConnectedLayer",
     "LayerSharing",
     "NetworkSpec",
@@ -89,7 +86,6 @@ __all__ = [
     "extract_filter",
     "format_report",
     "forward",
-    "get_element",
     "infer_shapes",
     "init_params",
     "is_conv_tensor",
@@ -102,9 +98,6 @@ __all__ = [
     "sample_tensor",
     "sampled_conv_identity",
     "save_document",
-    "set_element",
-    "sharing_trace",
-    "slice_region",
     "tensor_product",
     "transform_network",
     "verify_equivalence",

@@ -33,7 +33,7 @@ from .specio import (
     load_document,
     save_document,
 )
-from .transform import sharing_trace, transform_network
+from .transform import transform_network
 
 
 def _positive_int(text: str) -> int:
@@ -80,11 +80,7 @@ def cmd_transform(args) -> int:
     print(format_architecture(result.network))
     out = SpecDocument(
         network=result.network,
-        transform=TransformMetadata(
-            source=spec.name,
-            input_map=result.input_map,
-            flatten_permutation=result.flatten_permutation,
-        ),
+        transform=TransformMetadata(source=spec.name, input_map=result.input_map),
     )
     save_document(args.output, out, weights_mode=doc.weights_mode)
     print(f"\nwrote {args.output}")
@@ -116,7 +112,7 @@ def cmd_verify(args) -> int:
             for l in doc.network.layers
             if not isinstance(l, ActivationLayer)
         ):
-            raise ValueError(
+            raise SpecFormatError(
                 f"{path}: document carries no weights; verification needs "
                 "parameterized networks (save with inline or sidecar weights)"
             )
@@ -142,7 +138,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     odoc, tdoc, _ = _load_linked_pair(args.original, args.transformed)
-    trace = sharing_trace(odoc.network)
+    trace = transform_network(odoc.network).sources
     rows = parameter_report(odoc.network, tdoc.network, trace)
     if args.json:
         print(json.dumps([r.as_dict() for r in rows], indent=1))

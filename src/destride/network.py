@@ -89,45 +89,50 @@ def _conv_out(dim: int, kernel: int, stride: int, layer_idx: int, axis: str) -> 
     return (dim - kernel) // stride + 1
 
 
-def infer_shapes(spec: NetworkSpec) -> list:
-    """Output shape after each layer: (channels, h, w) tuples, or a feature
-    count once the network has flattened.  Also validates that declared
-    weights match declared shapes."""
+def _walk(spec: NetworkSpec):
+    """Yield (input shape, output shape, weight shape or None) per layer.
+
+    Shapes are (channels, h, w) tuples, or a feature count once the network
+    has flattened.  Raises on geometry the network cannot have: a kernel
+    larger than its input, a stride that does not divide (dim - kernel), or
+    a convolution after the flatten.
+    """
     shape = spec.input_shape
-    out = []
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, ConvLayer):
             if not isinstance(shape, tuple):
                 raise ValueError(f"layer {i}: conv after flatten is not supported")
             cin, h, w = shape
             kh, kw = layer.kernel
-            if layer.weights is not None:
-                want = (layer.channels_out, cin, kh, kw)
-                if layer.weights.shape != want:
-                    raise ValueError(
-                        f"layer {i}: weight shape {layer.weights.shape} != declared {want}"
-                    )
-            shape = (
+            out = (
                 layer.channels_out,
                 _conv_out(h, kh, layer.stride, i, "height"),
                 _conv_out(w, kw, layer.stride, i, "width"),
             )
+            wshape = (layer.channels_out, cin, kh, kw)
         elif isinstance(layer, ActivationLayer):
-            pass
+            out, wshape = shape, None
         elif isinstance(layer, FullyConnectedLayer):
             feats = int(np.prod(shape)) if isinstance(shape, tuple) else shape
-            if layer.weights is not None and layer.weights.shape != (layer.units, feats):
-                raise ValueError(
-                    f"layer {i}: weight shape {layer.weights.shape} != declared "
-                    f"({layer.units}, {feats})"
-                )
-            if layer.input_permutation is not None and len(layer.input_permutation) != feats:
-                raise ValueError(
-                    f"layer {i}: permutation length {len(layer.input_permutation)} != {feats}"
-                )
-            shape = layer.units
+            out, wshape = layer.units, (layer.units, feats)
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
+        yield shape, out, wshape
+        shape = out
+
+
+def infer_shapes(spec: NetworkSpec) -> list:
+    """Output shape after each layer: (channels, h, w) tuples, or a feature
+    count once the network has flattened.  Also validates that declared
+    weights match declared shapes."""
+    out = []
+    for i, (layer, (_, shape, wshape)) in enumerate(zip(spec.layers, _walk(spec))):
+        weights = getattr(layer, "weights", None)
+        if weights is not None and weights.shape != wshape:
+            raise ValueError(f"layer {i}: weight shape {weights.shape} != declared {wshape}")
+        perm = getattr(layer, "input_permutation", None)
+        if perm is not None and len(perm) != wshape[1]:
+            raise ValueError(f"layer {i}: permutation length {len(perm)} != {wshape[1]}")
         out.append(shape)
     return out
 
@@ -167,26 +172,11 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
 def init_params(spec: NetworkSpec, seed: int) -> NetworkSpec:
     """Fill every parameterized layer with seeded uniform(-1, 1) weights."""
     rng = np.random.default_rng(seed)
-    shape = spec.input_shape
     layers = []
-    for layer in spec.layers:
-        if isinstance(layer, ConvLayer):
-            cin = shape[0]
-            kh, kw = layer.kernel
-            w = rng.uniform(-1.0, 1.0, (layer.channels_out, cin, kh, kw))
-            layers.append(replace(layer, weights=w))
-            shape = (
-                layer.channels_out,
-                (shape[1] - kh) // layer.stride + 1,
-                (shape[2] - kw) // layer.stride + 1,
-            )
-        elif isinstance(layer, FullyConnectedLayer):
-            feats = int(np.prod(shape)) if isinstance(shape, tuple) else shape
-            w = rng.uniform(-1.0, 1.0, (layer.units, feats))
-            layers.append(replace(layer, weights=w))
-            shape = layer.units
-        else:
-            layers.append(layer)
+    for layer, (_, _, wshape) in zip(spec.layers, _walk(spec)):
+        if wshape is not None:
+            layer = replace(layer, weights=rng.uniform(-1.0, 1.0, wshape))
+        layers.append(layer)
     return replace(spec, layers=tuple(layers))
 
 
@@ -211,19 +201,19 @@ def parameter_report(
 ) -> list[LayerSharing]:
     """Per-layer sharing report derived from the transform's source trace.
 
-    trace maps conv layer index -> integer array, same shape as the
-    transformed layer's weights, holding the flat index of the original
-    weight each stored value was copied from (-1 marks a padding zero).
+    trace is TransformResult.sources: it maps conv layer index -> integer
+    array, same shape as the transformed layer's weights, holding the flat
+    index of the original weight each stored value was copied from (-1
+    marks a padding zero).
     Raises if any transformed layer stores more or fewer distinct originals
     than the source layer has parameters.
     """
-    shapes = infer_shapes(original)
-    shape_before = [original.input_shape] + shapes[:-1]
     rows = []
-    for i, layer in enumerate(original.layers):
+    for i, (layer, (_, _, wshape)) in enumerate(zip(original.layers, _walk(original))):
+        if wshape is None:
+            continue
+        orig = int(np.prod(wshape))
         if isinstance(layer, ConvLayer):
-            cin = shape_before[i][0]
-            orig = layer.channels_out * cin * layer.kernel[0] * layer.kernel[1]
             sources = trace[i]
             tlayer = transformed.layers[i]
             if tlayer.weights is not None and tlayer.weights.shape != sources.shape:
@@ -244,13 +234,7 @@ def parameter_report(
                 LayerSharing(i, "conv", orig, stored, distinct, padding,
                              (stored - padding) // orig)
             )
-        elif isinstance(layer, FullyConnectedLayer):
-            feats = (
-                int(np.prod(shape_before[i]))
-                if isinstance(shape_before[i], tuple)
-                else shape_before[i]
-            )
-            orig = layer.units * feats
+        else:
             rows.append(LayerSharing(i, "fully_connected", orig, orig, orig, 0, 1))
     return rows
 
@@ -266,8 +250,10 @@ class EquivalenceReport:
     @classmethod
     def from_deviations(cls, deviations, tolerance: float) -> "EquivalenceReport":
         devs = tuple(float(d) for d in deviations)
-        worst = max(devs)
-        return cls(len(devs), devs, float(tolerance), worst, worst <= tolerance)
+        # np.max propagates NaN wherever it sits; the builtin max does not
+        worst = float(np.max(devs))
+        passed = bool(np.isfinite(devs).all()) and worst <= tolerance
+        return cls(len(devs), devs, float(tolerance), worst, passed)
 
     def as_dict(self) -> dict:
         return {

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import build_conv_tensor, conv2d, conv2d_strided, extract_filter, is_conv_tensor
-from .network import ActivationLayer, ConvLayer, FullyConnectedLayer, NetworkSpec, forward, init_params, verify_equivalence
+from .network import ActivationLayer, ConvLayer, FullyConnectedLayer, NetworkSpec, init_params, verify_equivalence
 from .sampling import SamplingSpec, compose_sampling, partition_cover_check, sample_matrix, sample_tensor, zero_pad
 from .tensors import tensor_product
-from .transform import destride_layer, reshape_input, sampled_conv_identity, transform_network
+from .transform import destride_layer, sampled_conv_identity, transform_network
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,14 @@ decimal values round-trip bit-exactly (shortest-repr floats); sidecars are
 the raw bytes, so both modes reload to identical arrays.
 
 The transform block links a transformed document to its source:
-{"source": name, "input_map": {"stride": s, "entries": [[k, p, q], ...]},
-"flatten_permutation": [0-based indices]}.
+{"source": name, "input_map": {"stride": s, "entries": [[k, p, q], ...]}}.
+Documents written by earlier versions also carry "flatten_permutation":
+[0-based indices]; it is still read, and must be the identity, since the
+rewrite never reorders the flattened features.
+
+Every integer field (channels_out, kernel, stride, units, input_shape,
+input_permutation, the input map's stride and entries, sidecar lengths) must
+be a JSON integer: floats and booleans are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from .network import (
     ConvLayer,
     FullyConnectedLayer,
     NetworkSpec,
-    infer_shapes,
+    _walk,
 )
-from .transform import ChannelMap, FlattenPermutation
+from .transform import ChannelMap
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +63,6 @@ class SpecFormatError(ValueError):
 class TransformMetadata:
     source: str
     input_map: ChannelMap
-    flatten_permutation: FlattenPermutation
 
 
 @dataclass(frozen=True)
@@ -67,44 +72,49 @@ class SpecDocument:
     weights_mode: str | None = None  # "inline" | "sidecar" | None as loaded
 
 
-def parameter_shapes(network: NetworkSpec) -> dict[int, tuple]:
-    """Expected weight shape per parameterized layer index."""
-    shapes = infer_shapes(network)
-    before = [network.input_shape] + shapes[:-1]
-    out = {}
-    for i, layer in enumerate(network.layers):
-        if isinstance(layer, ConvLayer):
-            out[i] = (layer.channels_out, before[i][0], *layer.kernel)
-        elif isinstance(layer, FullyConnectedLayer):
-            feats = int(np.prod(before[i])) if isinstance(before[i], tuple) else before[i]
-            out[i] = (layer.units, feats)
-    return out
+def _int(val, where):
+    """val if it is a JSON integer; floats and booleans are rejected rather
+    than truncated (bool is a subclass of int)."""
+    if type(val) is not int:
+        raise SpecFormatError(f"{where}: expected an integer, got {val!r}")
+    return val
+
+
+def _ints(val, where):
+    if not isinstance(val, list):
+        raise SpecFormatError(f"{where}: expected a list of integers, got {val!r}")
+    return tuple(_int(v, where) for v in val)
 
 
 def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SpecFormatError(f"{where}: missing field {key!r}")
     val = obj[key]
+    if kind is int:
+        return _int(val, f"{where}: field {key!r}")
     if not isinstance(val, kind):
         raise SpecFormatError(f"{where}: field {key!r} has wrong type {type(val).__name__}")
     return val
 
 
 def _layer_from_json(i, obj):
-    kind = _require(obj, "kind", str, f"layer {i}")
+    where = f"layer {i}"
+    kind = _require(obj, "kind", str, where)
     if kind == "conv":
         return ConvLayer(
-            channels_out=_require(obj, "channels_out", int, f"layer {i}"),
-            kernel=tuple(_require(obj, "kernel", list, f"layer {i}")),
-            stride=obj.get("stride", 1),
+            channels_out=_require(obj, "channels_out", int, where),
+            kernel=_ints(_require(obj, "kernel", list, where), f"{where}: kernel"),
+            stride=_int(obj.get("stride", 1), f"{where}: stride"),
         )
     if kind == "activation":
-        return ActivationLayer(function=_require(obj, "function", str, f"layer {i}"))
+        return ActivationLayer(function=_require(obj, "function", str, where))
     if kind == "fully_connected":
         perm = obj.get("input_permutation")
         return FullyConnectedLayer(
-            units=_require(obj, "units", int, f"layer {i}"),
-            input_permutation=None if perm is None else np.asarray(perm, dtype=np.int64),
+            units=_require(obj, "units", int, where),
+            input_permutation=None
+            if perm is None
+            else np.asarray(_ints(perm, f"{where}: input_permutation"), dtype=np.int64),
         )
     raise SpecFormatError(f"layer {i}: unknown kind {kind!r}")
 
@@ -133,7 +143,7 @@ def _network_from_json(obj) -> NetworkSpec:
         layers = tuple(_layer_from_json(i, l) for i, l in enumerate(layers_json))
         return NetworkSpec(
             name=name,
-            input_shape=tuple(shape),
+            input_shape=_ints(shape, "network: input_shape"),
             layers=layers,
             provenance=obj.get("provenance", "original"),
         )
@@ -144,7 +154,9 @@ def _network_from_json(obj) -> NetworkSpec:
 
 
 def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
-    expected = parameter_shapes(network)
+    expected = {
+        i: wshape for i, (_, _, wshape) in enumerate(_walk(network)) if wshape is not None
+    }
     mode = _require(wobj, "mode", str, "weights")
     flats: dict[int, np.ndarray] = {}
     if mode == "inline":
@@ -156,12 +168,10 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
         order = sorted(_weight_index(k, expected) for k in lengths)
-        counts = {_weight_index(k, expected): int(v) for k, v in lengths.items()}
-        path = doc_dir / rel
-        try:
-            blob = np.fromfile(path, dtype="<f8")
-        except OSError:
-            raise
+        counts = {
+            _weight_index(k, expected): _int(v, "weights: lengths") for k, v in lengths.items()
+        }
+        blob = np.fromfile(doc_dir / rel, dtype="<f8")
         if blob.size != sum(counts.values()):
             raise SpecFormatError(
                 f"weights: sidecar holds {blob.size} values, lengths declare "
@@ -200,13 +210,15 @@ def _transform_from_json(obj) -> TransformMetadata:
     source = _require(obj, "source", str, "transform")
     imap = _require(obj, "input_map", dict, "transform")
     entries = _require(imap, "entries", list, "transform.input_map")
-    perm = _require(obj, "flatten_permutation", list, "transform")
+    stride = _require(imap, "stride", int, "transform.input_map")
+    entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
+    if "flatten_permutation" in obj:
+        # written by earlier versions; the rewrite keeps the flatten order
+        perm = _ints(obj["flatten_permutation"], "transform: flatten_permutation")
+        if perm != tuple(range(len(perm))):
+            raise SpecFormatError("transform: flatten_permutation must be the identity")
     try:
-        channel_map = ChannelMap(
-            stride=_require(imap, "stride", int, "transform.input_map"),
-            entries=tuple(tuple(e) for e in entries),
-        )
-        return TransformMetadata(source, channel_map, FlattenPermutation(tuple(perm)))
+        return TransformMetadata(source, ChannelMap(stride=stride, entries=entries))
     except (ValueError, TypeError) as e:
         raise SpecFormatError(f"transform: {e}") from None
 
@@ -215,8 +227,8 @@ def load_document(path) -> SpecDocument:
     """Parse and validate a spec document (and its sidecar, if any)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SpecFormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise SpecFormatError(f"{path}: top level must be an object")
@@ -284,6 +296,5 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
                 "stride": meta.input_map.stride,
                 "entries": [list(e) for e in meta.input_map.entries],
             },
-            "flatten_permutation": list(meta.flatten_permutation.indices),
         }
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -1,14 +1,10 @@
 """Dense tensor substrate: matrices, 4-D tensors, and their contraction.
 
 Matrices and 4-D tensors are plain float64 numpy arrays; the helpers here
-validate rank and expose 1-based element access so the rest of the package
-can speak in the same indices as its documentation.  Every function returns
-a fresh array and treats its inputs as immutable.
+validate rank.  Every function treats its inputs as immutable.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -50,42 +46,3 @@ def tensor_product(t, x) -> np.ndarray:
             f"matrix shape {x.shape} (need dim 3 = cols, dim 4 = rows)"
         )
     return np.einsum("ijkl,lk->ij", t, x)
-
-
-def _checked_offsets(index: Sequence[int], shape) -> tuple:
-    if len(index) != 4:
-        raise IndexError(f"need a 4-part index, got {len(index)} parts")
-    off = []
-    for d, (i, n) in enumerate(zip(index, shape), start=1):
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of bounds for dimension {d} of size {n}")
-        off.append(i - 1)
-    return tuple(off)
-
-
-def get_element(t, index: Sequence[int]) -> float:
-    """Read one element by 1-based (i, j, k, l) index."""
-    t = as_tensor4(t)
-    return float(t[_checked_offsets(index, t.shape)])
-
-
-def set_element(t, index: Sequence[int], value: float) -> np.ndarray:
-    """Return a copy of the tensor with the 1-based index set to value."""
-    t = as_tensor4(t).copy()
-    t[_checked_offsets(index, t.shape)] = value
-    return t
-
-
-def slice_region(t, ranges: Sequence[Sequence[int]]) -> np.ndarray:
-    """Copy the sub-tensor spanned by four inclusive 1-based (lo, hi) ranges."""
-    t = as_tensor4(t)
-    if len(ranges) != 4:
-        raise IndexError(f"need 4 ranges, got {len(ranges)}")
-    slices = []
-    for d, ((lo, hi), n) in enumerate(zip(ranges, t.shape), start=1):
-        if not (1 <= lo <= hi <= n):
-            raise IndexError(
-                f"range {lo}:{hi} out of bounds for dimension {d} of size {n}"
-            )
-        slices.append(slice(lo - 1, hi))
-    return t[tuple(slices)].copy()

@@ -36,13 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import conv2d
-from .network import (
-    ActivationLayer,
-    ConvLayer,
-    FullyConnectedLayer,
-    NetworkSpec,
-    infer_shapes,
-)
+from .network import ConvLayer, NetworkSpec, _walk, infer_shapes
 from .sampling import (
     RaggedSamplingError,
     SamplingSpec,
@@ -114,47 +108,12 @@ class ChannelMap:
     def source_channels(self) -> int:
         return max(k for k, _, _ in self.entries)
 
-    def sampling_spec(self, i: int) -> SamplingSpec:
-        """The grid spec of entry i."""
-        _, p, q = self.entries[i]
-        return SamplingSpec(p, q, self.stride)
-
-
-@dataclass(frozen=True)
-class FlattenPermutation:
-    """Reordering of flattened feature indices at the conv-to-dense boundary.
-
-    indices are 0-based: transformed flat position j carries the value that
-    sat at original flat position indices[j].  Absorbed into a dense layer by
-    reordering its weight columns: W_new = W[:, indices].
-    """
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if sorted(self.indices) != list(range(len(self.indices))):
-            raise ValueError("indices must be a permutation of 0..n-1")
-
-    @classmethod
-    def identity(cls, n: int) -> "FlattenPermutation":
-        return cls(tuple(range(n)))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.indices == tuple(range(len(self.indices)))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
-
 
 class TransformResult(NamedTuple):
     network: NetworkSpec
     input_map: ChannelMap
-    flatten_permutation: FlattenPermutation
+    # conv layer index -> source map of the transformed layer (_conv_sources)
+    sources: dict
 
 
 def destride_layer(filt, image, stride: int):
@@ -279,10 +238,9 @@ def _conv_sources(cin, layer: ConvLayer, sig_out, sig_in, order):
     return sources
 
 
-def _check_divisibility(spec: NetworkSpec, conv_ix, sig_in, shapes):
-    shape_before = [spec.input_shape] + shapes[:-1]
+def _check_divisibility(conv_ix, sig_in, plan):
     for i in conv_ix:
-        _, h, w = shape_before[i]
+        _, h, w = plan[i][0]
         si = sig_in[i]
         if h % si != 0 or w % si != 0:
             raise RaggedSamplingError(
@@ -290,27 +248,15 @@ def _check_divisibility(spec: NetworkSpec, conv_ix, sig_in, shapes):
             )
 
 
-def sharing_trace(spec: NetworkSpec, channel_order: str = "source-major") -> dict:
-    """Source maps for every conv layer of the would-be transformed network,
-    keyed by original layer index.  Same construction the transform uses."""
-    shapes = infer_shapes(spec)
-    conv_ix, sig_out, sig_in, _ = _multiplicities(spec)
-    _check_divisibility(spec, conv_ix, sig_in, shapes)
-    shape_before = [spec.input_shape] + shapes[:-1]
-    return {
-        i: _conv_sources(shape_before[i][0], spec.layers[i], sig_out[i], sig_in[i], channel_order)
-        for i in conv_ix
-    }
-
-
 def transform_network(spec: NetworkSpec, channel_order: str = "source-major") -> TransformResult:
     """Rewrite a network so every convolution has stride 1.
 
     Returns the transformed network, the channel map describing how raw
-    inputs must be rearranged before evaluation, and the permutation that was
-    applied to the first dense layer's weight columns (the construction makes
-    it the identity: the last convolution has output multiplicity 1, so the
-    final feature map comes out in the original order).
+    inputs must be rearranged before evaluation, and the source map of every
+    transformed conv layer, keyed by original layer index (see
+    parameter_report).  Activations and dense layers are copied as they
+    are: the last convolution has output multiplicity 1, so the final
+    feature map comes out in the original flatten order.
 
     Weights, when present, are copied from the original network; no values
     are invented.  Requires every convolution input dimension divisible by
@@ -319,64 +265,30 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
     """
     if channel_order not in CHANNEL_ORDERS:
         raise ValueError(f"unknown channel order {channel_order!r}, expected one of {CHANNEL_ORDERS}")
-    shapes = infer_shapes(spec)
+    plan = list(_walk(spec))
     conv_ix, sig_out, sig_in, total = _multiplicities(spec)
-    _check_divisibility(spec, conv_ix, sig_in, shapes)
-    shape_before = [spec.input_shape] + shapes[:-1]
+    _check_divisibility(conv_ix, sig_in, plan)
 
-    new_layers = []
-    flattened = False
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, ConvLayer):
-            cin = shape_before[i][0]
-            so, si = sig_out[i], sig_in[i]
-            sources = _conv_sources(cin, layer, so, si, channel_order)
-            weights = None
-            if layer.weights is not None:
-                flat = layer.weights.reshape(-1)
-                weights = np.where(sources >= 0, flat[np.clip(sources, 0, None)], 0.0)
-            new_layers.append(
-                ConvLayer(
-                    channels_out=sources.shape[0],
-                    kernel=sources.shape[2:],
-                    stride=1,
-                    weights=weights,
-                )
-            )
-        elif isinstance(layer, ActivationLayer):
-            new_layers.append(layer)
-        elif isinstance(layer, FullyConnectedLayer):
-            if not flattened and isinstance(shape_before[i], tuple):
-                flattened = True
-                feats = int(np.prod(shape_before[i]))
-                perm = FlattenPermutation.identity(feats)
-                weights = layer.weights
-                permutation = layer.input_permutation
-                if layer.input_permutation is None:
-                    if weights is not None:
-                        weights = weights[:, perm.as_array()]
-                else:
-                    # compose: new flat position j holds old position perm[j]
-                    inverse = np.argsort(perm.as_array())
-                    permutation = inverse[np.asarray(layer.input_permutation)]
-                new_layers.append(
-                    FullyConnectedLayer(layer.units, weights, permutation)
-                )
-            else:
-                new_layers.append(layer)
-        else:
-            raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
-
-    if not flattened:
-        final = shapes[-1] if shapes else spec.input_shape
-        feats = int(np.prod(final)) if isinstance(final, tuple) else int(final)
-        perm = FlattenPermutation.identity(feats)
-
-    c0, h0, w0 = spec.input_shape
-    if h0 % total != 0 or w0 % total != 0:
-        raise RaggedSamplingError(
-            f"input {h0}x{w0} not divisible by cumulative stride {total}"
+    new_layers = list(spec.layers)
+    sources = {}
+    for i in conv_ix:
+        layer = spec.layers[i]
+        src = _conv_sources(plan[i][0][0], layer, sig_out[i], sig_in[i], channel_order)
+        weights = None
+        if layer.weights is not None:
+            flat = layer.weights.reshape(-1)
+            weights = np.where(src >= 0, flat[np.clip(src, 0, None)], 0.0)
+        new_layers[i] = ConvLayer(
+            channels_out=src.shape[0],
+            kernel=src.shape[2:],
+            stride=1,
+            weights=weights,
         )
+        sources[i] = src
+
+    # the first conv reads the network input, so _check_divisibility has
+    # already made sure the input divides by the total stride
+    c0, h0, w0 = spec.input_shape
     input_map = ChannelMap(total, channel_entries(c0, total, channel_order))
     transformed = NetworkSpec(
         name=f"{spec.name}-destrided",
@@ -386,7 +298,7 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
     )
     # transformed net must shape-check end to end
     infer_shapes(transformed)
-    return TransformResult(transformed, input_map, perm)
+    return TransformResult(transformed, input_map, sources)
 
 
 def reshape_input(x, input_map: ChannelMap) -> np.ndarray:

@@ -29,7 +29,6 @@ from destride import (
     sample_matrix,
     sample_tensor,
     sampled_conv_identity,
-    sharing_trace,
     tensor_product,
     transform_network,
     verify_equivalence,
@@ -272,7 +271,8 @@ def _random_transformable_net(r, idx):
 
 
 def _sharing_rows_consistent(spec) -> bool:
-    rows = parameter_report(spec, transform_network(spec).network, sharing_trace(spec))
+    result = transform_network(spec)
+    rows = parameter_report(spec, result.network, result.sources)
     mult = _conv_output_multiplicities(spec)
     ok = True
     for row in rows:

@@ -48,7 +48,7 @@ def test_transform_prints_golden_lenet_table(tmp_path, capsys):
     doc = load_document(tmp_path / "out.json")
     assert doc.transform is not None
     assert doc.transform.source == "lenet-strided"
-    assert doc.transform.flatten_permutation.is_identity
+    assert "flatten_permutation" not in json.loads((tmp_path / "out.json").read_text())["transform"]
 
 
 def test_transform_warns_when_nothing_to_eliminate(tmp_path, capsys):
@@ -84,9 +84,17 @@ def test_transform_missing_input_exit4(tmp_path, capsys):
 def test_transform_invalid_document_exit2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{broken")
-    rc = main(["transform", str(p), str(tmp_path / "o.json")])
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+    bad = [p.read_bytes(), b'{"schema_version": 1, "name": "\xff"}']  # the second is not UTF-8
+    for field, value in (("stride", 2.0), ("channels_out", True), ("kernel", [5.7, 5])):
+        raw = json.loads((FIXTURES / "lenet.json").read_text())
+        raw["network"]["layers"][2][field] = value  # integers only, never coerced
+        bad.append(json.dumps(raw).encode())
+    for text in bad:
+        p.write_bytes(text)
+        rc = main(["transform", str(p), str(tmp_path / "o.json")])
+        assert rc == 2, text[:80]
+        assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_pass(pair, capsys):
@@ -148,8 +156,34 @@ def test_verify_rejects_weightless_documents(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify", str(FIXTURES / "lenet.json"), str(trans)])
     err = capsys.readouterr().err
-    assert rc == 3
+    assert rc == 2
     assert "carries no weights" in err
+
+
+def _with_flatten_permutation(pair, tmp_path, perm):
+    # a transformed document as earlier versions wrote it
+    raw = json.loads((pair / "trans.json").read_text())
+    raw["transform"]["flatten_permutation"] = perm
+    p = tmp_path / "trans.json"
+    p.write_text(json.dumps(raw))
+    shutil.copy(pair / "trans.weights.bin", tmp_path / "trans.weights.bin")
+    return p
+
+
+def test_verify_reads_earlier_identity_flatten_permutation(pair, tmp_path, capsys):
+    feats = 3 * 3 * 3  # conv 3 @ 2x2 stride 2 over 6x6
+    p = _with_flatten_permutation(pair, tmp_path, list(range(feats)))
+    assert load_document(p).transform.source == "tiny"
+    rc = main(["verify", str(pair / "orig.json"), str(p), "--trials", "5"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_identity_flatten_permutation(pair, tmp_path, capsys):
+    p = _with_flatten_permutation(pair, tmp_path, list(reversed(range(27))))
+    rc = main(["verify", str(pair / "orig.json"), str(p)])
+    assert rc == 2
+    assert "identity" in capsys.readouterr().err
 
 
 def test_verify_requires_transform_metadata(pair, capsys):

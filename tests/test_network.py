@@ -12,7 +12,6 @@ from destride import (
     infer_shapes,
     init_params,
     parameter_report,
-    sharing_trace,
     transform_network,
     verify_equivalence,
 )
@@ -250,12 +249,19 @@ def test_equivalence_report_from_deviations():
     d = rep.as_dict()
     assert d["passed"] is True and d["trials"] == 3
     assert not EquivalenceReport.from_deviations([2e-9], 1e-9).passed
+    # a non-finite deviation fails wherever it sits, and is reported
+    for devs in ([1e-12, float("nan")], [float("nan"), 1e-12]):
+        rep = EquivalenceReport.from_deviations(devs, 1e-9)
+        assert not rep.passed
+        assert np.isnan(rep.max_abs_dev)
+    rep = EquivalenceReport.from_deviations([1e-12, float("inf"), 2e-11], 1e-9)
+    assert not rep.passed and rep.max_abs_dev == float("inf")
 
 
 def test_parameter_report_frozen_lenet_rows():
     spec = _lenet()
-    transformed = transform_network(spec).network
-    rows = parameter_report(spec, transformed, sharing_trace(spec))
+    result = transform_network(spec)
+    rows = parameter_report(spec, result.network, result.sources)
     table = [
         (r.layer_index, r.kind, r.original_count, r.stored_volume,
          r.padding_zeros, r.distinct_sources, r.replication)
@@ -274,8 +280,8 @@ def test_parameter_report_stride1_all_ratios_one():
     spec = NetworkSpec(
         "flat", (2, 6, 6), (ConvLayer(3, (3, 3), 1), FullyConnectedLayer(4))
     )
-    transformed = transform_network(spec).network
-    rows = parameter_report(spec, transformed, sharing_trace(spec))
+    result = transform_network(spec)
+    rows = parameter_report(spec, result.network, result.sources)
     assert all(r.replication == 1 and r.padding_zeros == 0 for r in rows)
     assert all(r.stored_volume == r.original_count for r in rows)
 
@@ -286,8 +292,8 @@ def test_parameter_report_single_strided_layer_stores_once():
     spec = NetworkSpec(
         "lone", (1, 4, 4), (ConvLayer(1, (2, 2), 2), FullyConnectedLayer(2))
     )
-    transformed = transform_network(spec).network
-    rows = parameter_report(spec, transformed, sharing_trace(spec))
+    result = transform_network(spec)
+    rows = parameter_report(spec, result.network, result.sources)
     conv = rows[0]
     assert conv.kind == "conv"
     assert conv.original_count == 4
@@ -297,8 +303,9 @@ def test_parameter_report_single_strided_layer_stores_once():
 
 def test_parameter_report_rejects_tampered_trace():
     spec = _lenet()
-    transformed = transform_network(spec).network
-    trace = sharing_trace(spec)
+    result = transform_network(spec)
+    transformed = result.network
+    trace = dict(result.sources)
     trace[0] = trace[0].copy()
     trace[0][trace[0] == 0] = 1  # two positions now share a source
     with pytest.raises(ValueError, match="distinct"):

@@ -6,9 +6,7 @@ import pytest
 
 from destride import (
     ActivationLayer,
-    ChannelMap,
     ConvLayer,
-    FlattenPermutation,
     FullyConnectedLayer,
     NetworkSpec,
     SpecDocument,
@@ -130,11 +128,7 @@ def test_transform_metadata_round_trip(tmp_path):
     result = transform_network(spec)
     doc = SpecDocument(
         network=result.network,
-        transform=TransformMetadata(
-            source=spec.name,
-            input_map=result.input_map,
-            flatten_permutation=result.flatten_permutation,
-        ),
+        transform=TransformMetadata(source=spec.name, input_map=result.input_map),
     )
     save_document(tmp_path / "t.json", doc, weights_mode="inline")
     again = load_document(tmp_path / "t.json")
@@ -142,16 +136,15 @@ def test_transform_metadata_round_trip(tmp_path):
     assert again.transform.source == "tiny"
     assert again.transform.input_map.stride == result.input_map.stride
     assert again.transform.input_map.entries == result.input_map.entries
-    assert np.array_equal(
-        again.transform.flatten_permutation.as_array(),
-        result.flatten_permutation.as_array(),
-    )
     assert _networks_equal(result.network, again.network)
 
 
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("{not json")
+    with pytest.raises(SpecFormatError):
+        load_document(p)
+    p.write_bytes(b'{"schema_version": 1, "network": {"name": "\xff"}}')  # not UTF-8
     with pytest.raises(SpecFormatError):
         load_document(p)
 
@@ -195,21 +188,36 @@ def test_load_rejects_unknown_layer_kind(tmp_path):
 
 
 def test_load_rejects_bad_layer_values(tmp_path):
+    def doc(layers, input_shape=(1, 4, 4), transform=None):
+        raw = {
+            "schema_version": 1,
+            "network": {"name": "n", "input_shape": list(input_shape), "layers": layers},
+        }
+        if transform is not None:
+            # flatten_permutation as earlier versions wrote it
+            raw["transform"] = {"source": "m", "input_map": transform,
+                                "flatten_permutation": [0, 1]}
+        return raw
+
+    conv = {"kind": "conv", "channels_out": 2, "kernel": [2, 2], "stride": 2}
+    dense = {"kind": "fully_connected", "units": 2}
+    cases = [
+        doc([{"kind": "conv", "channels_out": 0, "kernel": [2, 2]}]),
+        # integers must be JSON integers: no truncated floats, no booleans
+        doc([{**conv, "kernel": [1.7, 2]}]),
+        doc([conv], input_shape=(1, 4.9, 4)),
+        doc([{**conv, "channels_out": True}]),
+        doc([conv, {**dense, "input_permutation": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]}]),
+        doc([{**conv, "stride": 2.0}]),
+        doc([{**dense, "units": True}]),
+        doc([conv], transform={"stride": True, "entries": [[1, 1, 1]]}),
+        doc([conv], transform={"stride": 1, "entries": [[True, 1, 1]]}),
+    ]
     p = tmp_path / "x.json"
-    p.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "network": {
-                    "name": "n",
-                    "input_shape": [1, 4, 4],
-                    "layers": [{"kind": "conv", "channels_out": 0, "kernel": [2, 2]}],
-                },
-            }
-        )
-    )
-    with pytest.raises(SpecFormatError):
-        load_document(p)
+    for raw in cases:
+        p.write_text(json.dumps(raw))
+        with pytest.raises(SpecFormatError):
+            load_document(p)
 
 
 def test_inline_weights_wrong_length(tmp_path):

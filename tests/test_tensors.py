@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from destride import get_element, set_element, slice_region, tensor_product
+from destride import tensor_product
 
 from oracles import tensor_contract
 
@@ -58,60 +58,3 @@ def test_tensor_product_rejects_wrong_rank():
         tensor_product(np.zeros((2, 2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         tensor_product(np.zeros((2, 2, 2, 2)), np.zeros(4))
-
-
-def test_get_element_is_one_based():
-    t = np.arange(2 * 3 * 4 * 5, dtype=float).reshape(2, 3, 4, 5)
-    assert get_element(t, (1, 1, 1, 1)) == t[0, 0, 0, 0]
-    assert get_element(t, (2, 3, 4, 5)) == t[1, 2, 3, 4]
-
-
-def test_get_element_bounds():
-    t = np.zeros((2, 3, 4, 5))
-    with pytest.raises(IndexError):
-        get_element(t, (0, 1, 1, 1))
-    with pytest.raises(IndexError):
-        get_element(t, (1, 1, 1, 6))
-
-
-def test_set_element_returns_copy():
-    t = np.zeros((2, 2, 2, 2))
-    u = set_element(t, (2, 2, 2, 2), 7.0)
-    assert u[1, 1, 1, 1] == 7.0
-    assert t[1, 1, 1, 1] == 0.0  # original untouched
-
-
-def test_set_then_get_round_trip():
-    r = np.random.default_rng(7)
-    t = r.standard_normal((2, 3, 4, 5))
-    u = set_element(t, (2, 1, 3, 4), -2.5)
-    assert get_element(u, (2, 1, 3, 4)) == -2.5
-
-
-def test_slice_region_inclusive_ranges():
-    t = np.arange(3 * 3 * 4 * 4, dtype=float).reshape(3, 3, 4, 4)
-    sub = slice_region(t, ((1, 2), (2, 3), (1, 4), (3, 3)))
-    assert sub.shape == (2, 2, 4, 1)
-    assert np.array_equal(sub, t[0:2, 1:3, 0:4, 2:3])
-
-
-def test_slice_region_full_range_is_identity():
-    r = np.random.default_rng(8)
-    t = r.standard_normal((2, 3, 4, 5))
-    sub = slice_region(t, ((1, 2), (1, 3), (1, 4), (1, 5)))
-    assert np.array_equal(sub, t)
-
-
-def test_slice_region_first_block():
-    t = np.arange(16, dtype=float).reshape(2, 2, 2, 2)
-    sub = slice_region(t, ((1, 1), (1, 1), (1, 2), (1, 2)))
-    assert sub.shape == (1, 1, 2, 2)
-    assert np.array_equal(sub[0, 0], [[0.0, 1.0], [2.0, 3.0]])
-
-
-def test_slice_region_bounds():
-    t = np.zeros((2, 2, 2, 2))
-    with pytest.raises(IndexError):
-        slice_region(t, ((1, 3), (1, 2), (1, 2), (1, 2)))
-    with pytest.raises(IndexError):
-        slice_region(t, ((2, 1), (1, 2), (1, 2), (1, 2)))  # lo > hi

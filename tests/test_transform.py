@@ -5,7 +5,6 @@ from destride import (
     ActivationLayer,
     ChannelMap,
     ConvLayer,
-    FlattenPermutation,
     FullyConnectedLayer,
     NetworkSpec,
     RaggedSamplingError,
@@ -17,7 +16,6 @@ from destride import (
     reshape_input,
     sample_matrix,
     sampled_conv_identity,
-    sharing_trace,
     transform_network,
     verify_equivalence,
 )
@@ -158,18 +156,9 @@ def test_channel_map_sampling_spec():
     cm = ChannelMap(2, ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)))
     assert cm.source_channels == 1
     assert len(cm) == 4
-    spec = cm.sampling_spec(2)
-    assert (spec.row_offset, spec.col_offset, spec.stride) == (2, 1, 2)
-
-
-def test_flatten_permutation():
-    ident = FlattenPermutation.identity(5)
-    assert ident.is_identity and len(ident) == 5
-    FlattenPermutation((2, 0, 1))
-    with pytest.raises(ValueError):
-        FlattenPermutation((0, 0, 1))
-    with pytest.raises(ValueError):
-        FlattenPermutation((1, 2, 3))
+    # entry i names the (p, q, stride) grid sample of source channel k
+    _, p, q = cm.entries[2]
+    assert (p, q, cm.stride) == (2, 1, 2)
 
 
 def _lenet():
@@ -190,7 +179,8 @@ def _lenet():
 
 
 def test_transform_network_golden_architecture():
-    result = transform_network(_lenet())
+    spec = _lenet()
+    result = transform_network(spec)
     net = result.network
     assert net.input_shape == (16, 7, 7)
     convs = [l for l in net.layers if isinstance(l, ConvLayer)]
@@ -208,7 +198,9 @@ def test_transform_network_golden_architecture():
     assert shapes[6] == 500
     assert net.name == "lenet-strided-destrided"
     assert net.provenance == "transformed-from:lenet-strided"
-    assert result.flatten_permutation.is_identity
+    # the last conv has output multiplicity 1: the dense layer is copied as is
+    assert net.layers[6] is spec.layers[6]
+    assert sorted(result.sources) == [0, 2, 3, 5]
     assert len(result.input_map) == 16
     assert result.input_map.stride == 4
 
@@ -368,9 +360,8 @@ def test_sharing_trace_reconstructs_weights():
     # checked elementwise on a seeded sample of positions per layer
     r = np.random.default_rng(30)
     spec = init_params(_lenet(), seed=1)
-    trace = sharing_trace(spec)
     result = transform_network(spec)
-    for i, sources in trace.items():
+    for i, sources in result.sources.items():
         orig = spec.layers[i].weights.reshape(-1)
         got = result.network.layers[i].weights
         assert got.shape == sources.shape
@@ -383,7 +374,7 @@ def test_sharing_trace_reconstructs_weights():
 
 
 def test_sharing_trace_replication_counts():
-    trace = sharing_trace(_lenet())
+    trace = transform_network(_lenet()).sources
     counts = {}
     for i, sources in trace.items():
         flat = sources[sources >= 0]
