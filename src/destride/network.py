@@ -205,22 +205,30 @@ def parameter_report(
     array, same shape as the transformed layer's weights, holding the flat
     index of the original weight each stored value was copied from (-1
     marks a padding zero).
-    Raises if any transformed layer stores more or fewer distinct originals
-    than the source layer has parameters.
+    Raises if the transformed architecture is not the one the trace
+    describes (another layer count, or a parameterized layer whose walked
+    weight shape is not its trace's shape, or the original's for a dense
+    layer), or if any transformed layer stores more or fewer distinct
+    originals than the source layer has parameters.
     """
+    tplan = list(_walk(transformed))
+    if len(tplan) != len(original.layers):
+        raise ValueError(
+            f"transformed network has {len(tplan)} layers, original has "
+            f"{len(original.layers)}"
+        )
     rows = []
-    for i, (layer, (_, _, wshape)) in enumerate(zip(original.layers, _walk(original))):
+    for i, (layer, (_, _, wshape), (_, _, tshape)) in enumerate(
+        zip(original.layers, _walk(original), tplan)
+    ):
         if wshape is None:
             continue
+        want = trace[i].shape if isinstance(layer, ConvLayer) else wshape
+        if tshape != want:
+            raise ValueError(f"layer {i}: transformed weight shape {tshape} != expected {want}")
         orig = int(np.prod(wshape))
         if isinstance(layer, ConvLayer):
             sources = trace[i]
-            tlayer = transformed.layers[i]
-            if tlayer.weights is not None and tlayer.weights.shape != sources.shape:
-                raise ValueError(
-                    f"layer {i}: trace shape {sources.shape} != transformed "
-                    f"weights {tlayer.weights.shape}"
-                )
             stored = int(sources.size)
             padding = int((sources < 0).sum())
             distinct = int(np.unique(sources[sources >= 0]).size)

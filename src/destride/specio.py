@@ -32,7 +32,9 @@ rewrite never reorders the flattened features.
 
 Every integer field (channels_out, kernel, stride, units, input_shape,
 input_permutation, the input map's stride and entries, sidecar lengths) must
-be a JSON integer: floats and booleans are rejected, not coerced.
+be a JSON integer: floats and booleans are rejected, not coerced.  A layer
+may carry only the keys shown above for its kind, and inline weight arrays
+must be flat lists of JSON numbers.
 """
 
 from __future__ import annotations
@@ -97,9 +99,21 @@ def _require(obj, key, kind, where):
     return val
 
 
+_LAYER_KEYS = {
+    "conv": {"kind", "channels_out", "kernel", "stride"},
+    "activation": {"kind", "function"},
+    "fully_connected": {"kind", "units", "input_permutation"},
+}
+
+
 def _layer_from_json(i, obj):
     where = f"layer {i}"
     kind = _require(obj, "kind", str, where)
+    if kind not in _LAYER_KEYS:
+        raise SpecFormatError(f"{where}: unknown kind {kind!r}")
+    unknown = sorted(set(obj) - _LAYER_KEYS[kind])
+    if unknown:
+        raise SpecFormatError(f"{where}: unknown field {unknown[0]!r} for a {kind} layer")
     if kind == "conv":
         return ConvLayer(
             channels_out=_require(obj, "channels_out", int, where),
@@ -116,7 +130,6 @@ def _layer_from_json(i, obj):
             if perm is None
             else np.asarray(_ints(perm, f"{where}: input_permutation"), dtype=np.int64),
         )
-    raise SpecFormatError(f"layer {i}: unknown kind {kind!r}")
 
 
 def _layer_to_json(layer) -> dict:
@@ -163,7 +176,10 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
         arrays = _require(wobj, "arrays", dict, "weights")
         for key, values in arrays.items():
             idx = _weight_index(key, expected)
-            flats[idx] = np.asarray(values, dtype=np.float64).ravel()
+            # exact types: bool is an int subclass and must not load as 0/1
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                raise SpecFormatError(f"weights: layer {idx} must be a flat list of numbers")
+            flats[idx] = np.asarray(values, dtype=np.float64)
     elif mode == "sidecar":
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")

@@ -8,19 +8,26 @@ the correlations of the (p, q)-sampled image against the (p, q)-sampled
 filter once the filter has been realigned by prepending m-1 zero rows and
 n-1 zero columns.
 
-The network rewrite applies this backwards through the layers.  Walking from
-the last convolution to the first, each layer is assigned an output-side
-multiplicity (the product of all later strides) and an input-side
-multiplicity (that times its own stride).  A feature map with multiplicity
-sigma is represented as sigma^2 channels per original channel, channel
-(k, p, q) holding the (p, q, sigma) grid sample of original channel k.  Each
+The network rewrite applies this to every convolution.  A conv of stride s
+has an output-side multiplicity sigma_out (the product of all later strides)
+and an input-side multiplicity sigma_in = sigma_out * s.  A feature map with
+multiplicity sigma is represented as sigma^2 channels per original channel,
+channel (k, p, q) holding the (p, q, sigma) grid sample of original channel
+k.  For the network input this is space-to-depth, the "pixel unshuffle" of
+Shi et al. 2016 (arXiv 1609.05158); reshape_input performs it.  Each
 transformed convolution maps one such representation to the next with stride
 1: its filter piece from input channel (k, p, q) to output channel (c, m, n)
-is the (p, q, sigma_in) sample of the original filter H[c, k] padded by the
-composed offset, every piece zero-padded bottom/right to a common per-layer
-shape.  Under the divisibility preconditions each piece's correlation lands
-exactly on the target grid, so no cropping is needed anywhere and outputs
-match the original network bit-for-bit up to float summation order.
+is the (p, q, sigma_in) sample of H[c, k] after prepending (m-1)s zero rows
+and (n-1)s zero columns, zero-padded bottom/right to the common piece shape
+h_in/sigma_in - h_out/sigma_out + 1 per axis.  In closed form, with every
+offset 0-based, piece position (r, t) holds
+
+    H[c, k, r*sigma_in + p - m*s, t*sigma_in + q - n*s]
+
+where that entry lies inside the kernel, and a padding zero elsewhere.  Under
+the divisibility preconditions each piece's correlation lands exactly on the
+target grid, so no cropping is needed anywhere and outputs match the
+original network bit-for-bit up to float summation order.
 
 Transformed weights are pure copies of original weights; the construction
 records, for every stored value, the flat index of the original weight it
@@ -30,6 +37,7 @@ report audits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,13 +45,7 @@ import numpy as np
 
 from .convolution import conv2d
 from .network import ConvLayer, NetworkSpec, _walk, infer_shapes
-from .sampling import (
-    RaggedSamplingError,
-    SamplingSpec,
-    compose_sampling,
-    sample_matrix,
-    zero_pad,
-)
+from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
 from .tensors import as_matrix
 
 CHANNEL_ORDERS = ("source-major", "grid-major")
@@ -187,65 +189,24 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
     return lhs, rhs
 
 
-def _multiplicities(spec: NetworkSpec):
-    """Output- and input-side multiplicities per conv layer index."""
-    conv_ix = [i for i, l in enumerate(spec.layers) if isinstance(l, ConvLayer)]
-    sig_out = {}
-    sig_in = {}
-    acc = 1
-    for i in reversed(conv_ix):
-        sig_out[i] = acc
-        acc *= spec.layers[i].stride
-        sig_in[i] = acc
-    return conv_ix, sig_out, sig_in, acc
-
-
-def _piece_shape(kernel, stride, sig_out, sig_in):
-    # largest sampled piece over all composed offsets; under the divisibility
-    # preconditions this equals h_in/sig_in - h_out/sig_out + 1 per axis
-    kh, kw = kernel
-    hh = -(-(kh + (sig_out - 1) * stride) // sig_in)
-    ww = -(-(kw + (sig_out - 1) * stride) // sig_in)
-    return hh, ww
-
-
-def _conv_sources(cin, layer: ConvLayer, sig_out, sig_in, order):
+def _conv_sources(cin, layer: ConvLayer, sig_in, piece, order):
     """Integer source map for one transformed conv layer.
 
-    Shape (new_out, new_in, hh, ww); entry = flat index into the original
+    Shape (new_out, new_in) + piece; entry = flat index into the original
     (channels_out, cin, kh, kw) weight block, or -1 for a padding zero.
     """
     kh, kw = layer.kernel
     s = layer.stride
-    out_entries = channel_entries(layer.channels_out, sig_out, order)
-    in_entries = channel_entries(cin, sig_in, order)
-    hh, ww = _piece_shape(layer.kernel, s, sig_out, sig_in)
-    sources = np.full((len(out_entries), len(in_entries), hh, ww), -1, dtype=np.int64)
-    rr = np.arange(hh)
-    tt = np.arange(ww)
-    for oi, (c, m, n) in enumerate(out_entries):
-        composed = compose_sampling(SamplingSpec(m, n, sig_out), s)
-        for ii, (k, p, q) in enumerate(in_entries):
-            u = rr * sig_in + (p - 1) - (composed.row_offset - 1)
-            v = tt * sig_in + (q - 1) - (composed.col_offset - 1)
-            urows = rr[(u >= 0) & (u < kh)]
-            ucols = u[(u >= 0) & (u < kh)]
-            vrows = tt[(v >= 0) & (v < kw)]
-            vcols = v[(v >= 0) & (v < kw)]
-            if urows.size and vrows.size:
-                flat = (((c - 1) * cin + (k - 1)) * kh + ucols[:, None]) * kw + vcols[None, :]
-                sources[oi, ii, urows[:, None], vrows[None, :]] = flat
+    out_ix = np.array(channel_entries(layer.channels_out, sig_in // s, order)) - 1
+    in_ix = np.array(channel_entries(cin, sig_in, order)) - 1
+    # 0-based (c, m, n) and (k, p, q), shaped to broadcast over (out, in, r, t)
+    c, m, n = out_ix.T[:, :, None, None, None]
+    k, p, q = in_ix.T[:, None, :, None, None]
+    u = np.arange(piece[0])[:, None] * sig_in + p - m * s
+    v = np.arange(piece[1]) * sig_in + q - n * s
+    sources = ((c * cin + k) * kh + u) * kw + v
+    sources[(u < 0) | (u >= kh) | (v < 0) | (v >= kw)] = -1
     return sources
-
-
-def _check_divisibility(conv_ix, sig_in, plan):
-    for i in conv_ix:
-        _, h, w = plan[i][0]
-        si = sig_in[i]
-        if h % si != 0 or w % si != 0:
-            raise RaggedSamplingError(
-                f"layer {i}: input {h}x{w} not divisible by cumulative stride {si}"
-            )
 
 
 def transform_network(spec: NetworkSpec, channel_order: str = "source-major") -> TransformResult:
@@ -266,14 +227,23 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
     if channel_order not in CHANNEL_ORDERS:
         raise ValueError(f"unknown channel order {channel_order!r}, expected one of {CHANNEL_ORDERS}")
     plan = list(_walk(spec))
-    conv_ix, sig_out, sig_in, total = _multiplicities(spec)
-    _check_divisibility(conv_ix, sig_in, plan)
+    total = math.prod(l.stride for l in spec.layers if isinstance(l, ConvLayer))
 
     new_layers = list(spec.layers)
     sources = {}
-    for i in conv_ix:
-        layer = spec.layers[i]
-        src = _conv_sources(plan[i][0][0], layer, sig_out[i], sig_in[i], channel_order)
+    sig_in = total
+    for i, layer in enumerate(spec.layers):
+        if not isinstance(layer, ConvLayer):
+            continue
+        (cin, h, w), (_, h_out, w_out), _ = plan[i]
+        # checked front to back, so the error names the first failing conv
+        if h % sig_in != 0 or w % sig_in != 0:
+            raise RaggedSamplingError(
+                f"layer {i}: input {h}x{w} not divisible by cumulative stride {sig_in}"
+            )
+        sig_out = sig_in // layer.stride
+        piece = (h // sig_in - h_out // sig_out + 1, w // sig_in - w_out // sig_out + 1)
+        src = _conv_sources(cin, layer, sig_in, piece, channel_order)
         weights = None
         if layer.weights is not None:
             flat = layer.weights.reshape(-1)
@@ -285,8 +255,9 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
             weights=weights,
         )
         sources[i] = src
+        sig_in = sig_out
 
-    # the first conv reads the network input, so _check_divisibility has
+    # the first conv reads the network input, so the check above has
     # already made sure the input divides by the total stride
     c0, h0, w0 = spec.input_shape
     input_map = ChannelMap(total, channel_entries(c0, total, channel_order))
@@ -302,8 +273,9 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
 
 
 def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
-    """Rearrange a raw input into the transformed network's channel layout:
-    output channel i is the grid sample named by input_map.entries[i]."""
+    """Rearrange a raw input into the transformed network's channel layout
+    (space-to-depth): output channel i is the grid sample named by
+    input_map.entries[i]."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"input must be 3-D (channel, row, col), got rank {x.ndim}")

@@ -86,3 +86,50 @@ def multichannel_forward(w, x, s):
             acc = term if acc is None else acc + term
         out.append(acc)
     return np.array(out)
+
+
+def source_map(cin, kernel, stride, sigma_in, out_entries, in_entries):
+    """Source map of one transformed conv layer, by the paper's construction.
+
+    For output entry (c, m, n) and input entry (k, p, q), all 1-based: take
+    the matrix of flat indices of H[c, k] in the (cout, cin, kh, kw) weight
+    block, prepend (m-1)*stride rows and (n-1)*stride columns of -1, take its
+    (p, q, sigma_in) grid sample, and pad it bottom/right with -1 up to the
+    largest piece.  Returns an int64 array (len(out), len(in), hh, ww).
+    """
+    kh, kw = kernel
+    pieces = []
+    for c, m, n in out_entries:
+        row = []
+        for k, p, q in in_entries:
+            index = []
+            for u in range(kh):
+                index.append([(((c - 1) * cin + (k - 1)) * kh + u) * kw + v for v in range(kw)])
+            top = (m - 1) * stride
+            left = (n - 1) * stride
+            padded = []
+            for _ in range(top):
+                padded.append([-1] * (left + kw))
+            for line in index:
+                padded.append([-1] * left + line)
+            sample = []
+            i = p - 1
+            while i < len(padded):
+                picked = []
+                j = q - 1
+                while j < len(padded[i]):
+                    picked.append(padded[i][j])
+                    j += sigma_in
+                sample.append(picked)
+                i += sigma_in
+            row.append(sample)
+        pieces.append(row)
+    hh = max(len(g) for row in pieces for g in row)
+    ww = max(len(line) for row in pieces for g in row for line in g)
+    out = np.full((len(out_entries), len(in_entries), hh, ww), -1, dtype=np.int64)
+    for a, row in enumerate(pieces):
+        for b, g in enumerate(row):
+            for r, line in enumerate(g):
+                for t, value in enumerate(line):
+                    out[a, b, r, t] = value
+    return out

@@ -89,6 +89,10 @@ def test_transform_invalid_document_exit2(tmp_path, capsys):
         raw = json.loads((FIXTURES / "lenet.json").read_text())
         raw["network"]["layers"][2][field] = value  # integers only, never coerced
         bad.append(json.dumps(raw).encode())
+    raw = json.loads((FIXTURES / "lenet.json").read_text())
+    layer = raw["network"]["layers"][2]
+    layer["strides"] = layer.pop("stride")  # unknown keys are not ignored
+    bad.append(json.dumps(raw).encode())
     for text in bad:
         p.write_bytes(text)
         rc = main(["transform", str(p), str(tmp_path / "o.json")])
@@ -230,6 +234,41 @@ def test_report_json_round_trips(tmp_path, capsys):
     conv_rows = [r for r in rows if r["kind"] == "conv"]
     assert [r["replication"] for r in conv_rows] == [16, 4, 4, 1]
     assert all(r["distinct_sources"] == r["original_count"] for r in rows)
+
+
+def _edited_lenet_transform(tmp_path, edit):
+    trans = tmp_path / "t.json"
+    assert main(["transform", str(FIXTURES / "lenet.json"), str(trans)]) == 0
+    raw = json.loads(trans.read_text())
+    edit(raw["network"]["layers"])
+    trans.write_text(json.dumps(raw))
+    return trans
+
+
+def test_report_rejects_transformed_architecture_mismatch(tmp_path, capsys):
+    def edit(layers):
+        layers[3] = {"kind": "conv", "channels_out": 7, "kernel": [1, 1], "stride": 1}
+
+    trans = _edited_lenet_transform(tmp_path, edit)
+    capsys.readouterr()
+    rc = main(["report", str(FIXTURES / "lenet.json"), str(trans)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "layer 3" in captured.err
+    assert "totals" not in captured.out
+
+
+def test_report_rejects_transformed_layer_count_mismatch(tmp_path, capsys):
+    def edit(layers):
+        del layers[5:]
+
+    trans = _edited_lenet_transform(tmp_path, edit)
+    capsys.readouterr()
+    rc = main(["report", str(FIXTURES / "lenet.json"), str(trans)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "5 layers" in captured.err
+    assert "totals" not in captured.out
 
 
 def test_report_stride1_pair_all_ratios_one(tmp_path, capsys):

@@ -188,11 +188,13 @@ def test_load_rejects_unknown_layer_kind(tmp_path):
 
 
 def test_load_rejects_bad_layer_values(tmp_path):
-    def doc(layers, input_shape=(1, 4, 4), transform=None):
+    def doc(layers, input_shape=(1, 4, 4), transform=None, weights=None):
         raw = {
             "schema_version": 1,
             "network": {"name": "n", "input_shape": list(input_shape), "layers": layers},
         }
+        if weights is not None:
+            raw["weights"] = {"mode": "inline", "arrays": {"0": weights}}
         if transform is not None:
             # flatten_permutation as earlier versions wrote it
             raw["transform"] = {"source": "m", "input_map": transform,
@@ -212,6 +214,16 @@ def test_load_rejects_bad_layer_values(tmp_path):
         doc([{**dense, "units": True}]),
         doc([conv], transform={"stride": True, "entries": [[1, 1, 1]]}),
         doc([conv], transform={"stride": 1, "entries": [[True, 1, 1]]}),
+        # only the keys of the layer's kind: a misspelt stride is not stride 1
+        doc([{"kind": "conv", "channels_out": 2, "kernel": [2, 2], "strides": 2}]),
+        doc([conv, {"kind": "activation", "function": "relu", "slope": 0.1}]),
+        doc([conv, {**dense, "bias": [0.0, 0.0]}]),
+        # inline weights are flat lists of JSON numbers (conv holds 8 values)
+        doc([conv], weights=[True] * 8),
+        doc([conv], weights=["0.5"] * 8),
+        doc([conv], weights="0.5"),
+        doc([conv], weights=[[0.5] * 4, [0.5] * 3]),
+        doc([conv], weights=[[0.5] * 4, [0.5] * 4]),
     ]
     p = tmp_path / "x.json"
     for raw in cases:

@@ -1,7 +1,11 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from destride import (
+    CHANNEL_ORDERS,
     ActivationLayer,
     ChannelMap,
     ConvLayer,
@@ -13,6 +17,7 @@ from destride import (
     forward,
     infer_shapes,
     init_params,
+    load_document,
     reshape_input,
     sample_matrix,
     sampled_conv_identity,
@@ -20,7 +25,9 @@ from destride import (
     verify_equivalence,
 )
 
-from oracles import slide_correlate_strided
+from oracles import slide_correlate_strided, source_map
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_destride_layer_frozen_row_example():
@@ -382,3 +389,80 @@ def test_sharing_trace_replication_counts():
         assert reps.min() == reps.max()  # every original weight copied equally
         counts[i] = int(reps[0])
     assert counts == {0: 16, 2: 4, 3: 4, 5: 1}
+
+
+def _entries(channels, sigma, order):
+    # (k, p, q), 1-based, in the order each channel layout enumerates them
+    triples = [
+        (k, p, q)
+        for k in range(1, channels + 1)
+        for p in range(1, sigma + 1)
+        for q in range(1, sigma + 1)
+    ]
+    if order == "grid-major":
+        triples.sort(key=lambda e: (e[1], e[2], e[0]))
+    return triples
+
+
+def _assert_sources_match_oracle(spec, sources, order):
+    # channel counts and multiplicities tracked here, not read from the rewrite
+    convs = [(i, l) for i, l in enumerate(spec.layers) if isinstance(l, ConvLayer)]
+    sigma = math.prod(l.stride for _, l in convs)
+    cin = spec.input_shape[0]
+    assert sorted(sources) == [i for i, _ in convs]
+    for i, layer in convs:
+        want = source_map(
+            cin, layer.kernel, layer.stride, sigma,
+            _entries(layer.channels_out, sigma // layer.stride, order),
+            _entries(cin, sigma, order),
+        )
+        assert sources[i].dtype == np.int64
+        assert np.array_equal(sources[i], want), (i, order)
+        cin, sigma = layer.channels_out, sigma // layer.stride
+
+
+def _random_net(seed):
+    """A random conv stack the rewrite accepts: depth 1-5, strides 1-4 with
+    a cumulative stride up to 8, heights and widths drawn apart.  Sizes are
+    chosen from the last conv backwards so that every conv input divides by
+    its cumulative stride; each kernel is what the sizes then imply."""
+    r = np.random.default_rng(seed)
+    depth = int(r.integers(1, 6))
+    strides = [int(r.integers(1, 5)) for _ in range(depth)]
+    while math.prod(strides) > 8:
+        strides = [int(r.integers(1, 5)) for _ in range(depth)]
+    sigma_in = [math.prod(strides[i:]) for i in range(depth)]
+    dims = []
+    for _ in range(2):
+        sizes = [int(r.integers(1, 4))]
+        for i in reversed(range(depth)):
+            least = strides[i] * (sizes[0] - 1) + 1
+            sizes.insert(0, sigma_in[i] * (-(-least // sigma_in[i]) + int(r.integers(0, 2))))
+        dims.append(sizes)
+    chans = [int(r.integers(1, 4)) for _ in range(depth + 1)]
+    layers = []
+    for i in range(depth):
+        kernel = tuple(d[i] - strides[i] * (d[i + 1] - 1) for d in dims)
+        layers.append(ConvLayer(chans[i + 1], kernel, strides[i]))
+        if r.random() < 0.5:
+            layers.append(ActivationLayer("relu"))
+    if r.random() < 0.5:
+        layers.append(FullyConnectedLayer(int(r.integers(1, 5))))
+    return NetworkSpec(f"random-{seed}", (chans[0], dims[0][0], dims[1][0]), layers)
+
+
+def test_sources_match_oracle_on_lenet_fixture():
+    spec = load_document(FIXTURES / "lenet.json").network
+    for order in CHANNEL_ORDERS:
+        _assert_sources_match_oracle(spec, transform_network(spec, order).sources, order)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sources_match_oracle_on_random_nets(seed):
+    spec = init_params(_random_net(seed), seed=seed)
+    for order in CHANNEL_ORDERS:
+        result = transform_network(spec, order)
+        _assert_sources_match_oracle(spec, result.sources, order)
+        report = verify_equivalence(spec, result.network, result.input_map,
+                                    trials=3, tol=1e-9, seed=seed)
+        assert report.passed, report.max_abs_dev
