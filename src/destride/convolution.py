@@ -3,7 +3,7 @@
 "Convolution" here is the CNN convention: a sliding inner product with no
 kernel flip and no implicit padding.  Filters for the multi-channel case are
 4-D arrays indexed (out_channel, in_channel, row, col); feature maps are 3-D
-arrays indexed (channel, row, col).
+arrays indexed (channel, row, col), or 4-D with a leading batch axis.
 
 build_conv_tensor re-expresses a single filter as the 4-D tensor whose
 tensor_product with the image equals the correlation.  Because the product
@@ -42,28 +42,57 @@ def conv2d_strided(filt, image, stride: int) -> np.ndarray:
 
 
 def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
-    """Multi-channel strided correlation.
+    """Multi-channel strided correlation of one feature map or a batch.
 
-    weights: (out_channels, in_channels, a, b); feature_map: (channels, h, w).
-    Output channel c is the sum over input channels k of the strided
-    correlation of weights[c, k] with feature_map[k].
+    weights: (out_channels, in_channels, a, b); feature_map: (channels, h, w)
+    or a batch (N, channels, h, w), giving (out_channels, oh, ow) or
+    (N, out_channels, oh, ow).  Output channel c is the sum over input
+    channels k of the strided correlation of weights[c, k] with
+    feature_map[k].
+
+    Computed as im2col (Chellapilla et al. 2006): the weights reshaped to
+    (out, in*a*b) times a column matrix (in*a*b, oh*ow) per batch item, whose
+    column for each kept output position holds the in*a*b input values under
+    the kernel there, read from sliding_window_view windows.  An item's
+    column matrix holds a*b*oh*ow / (h*w) times the values of its feature
+    map, so the batch goes through the product in slices of
+    max(1, N*h*w // (a*b*oh*ow)) items: each slice's column matrix is no
+    larger than the whole input, unless a single item's already is.
     """
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(feature_map, dtype=np.float64)
     if w.ndim != 4:
         raise ValueError(f"weights must be 4-D (out, in, row, col), got rank {w.ndim}")
-    if x.ndim != 3:
-        raise ValueError(f"feature map must be 3-D (channel, row, col), got rank {x.ndim}")
-    if w.shape[1] != x.shape[0]:
+    if x.ndim not in (3, 4):
         raise ValueError(
-            f"filter expects {w.shape[1]} input channels, feature map has {x.shape[0]}"
+            "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
+            f"col), got rank {x.ndim}"
         )
+    single = x.ndim == 3
+    if single:
+        x = x[None]
+    n, c, h, wd = x.shape
+    out_c, _, a, b = w.shape
+    if w.shape[1] != c:
+        raise ValueError(f"filter expects {w.shape[1]} input channels, feature map has {c}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    if w.shape[2] > x.shape[1] or w.shape[3] > x.shape[2]:
-        raise ValueError(f"filter {w.shape[2:]} larger than image {x.shape[1:]}")
-    windows = sliding_window_view(x, w.shape[2:], axis=(1, 2))[:, ::stride, ::stride]
-    return np.einsum("oiuv,ihwuv->ohw", w, windows)
+    if a > h or b > wd:
+        raise ValueError(f"filter {w.shape[2:]} larger than image {(h, wd)}")
+    oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
+    # (N, c, a, b, oh, ow), a view; each slice of it is copied into cols
+    windows = sliding_window_view(x, (a, b), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = windows.transpose(0, 1, 4, 5, 2, 3)
+    kernel = w.reshape(out_c, c * a * b)
+    out = np.empty((n, out_c, oh * ow))
+    step = min(n, max(1, n * h * wd // (a * b * oh * ow)))
+    cols = np.empty((step,) + windows.shape[1:])
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        cols[:m] = windows[i : i + m]
+        np.matmul(kernel, cols[:m].reshape(m, c * a * b, oh * ow), out=out[i : i + m])
+    out = out.reshape(n, out_c, oh, ow)
+    return out[0] if single else out
 
 
 def build_conv_tensor(filt, image_shape) -> np.ndarray:

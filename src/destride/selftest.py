@@ -8,6 +8,7 @@ count; a property fails by raising AssertionError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .convolution import build_conv_tensor, conv2d, conv2d_strided, extract_filt
 from .network import ActivationLayer, ConvLayer, FullyConnectedLayer, NetworkSpec, init_params, verify_equivalence
 from .sampling import SamplingSpec, compose_sampling, partition_cover_check, sample_matrix, sample_tensor, zero_pad
 from .tensors import tensor_product
-from .transform import destride_layer, sampled_conv_identity, transform_network
+from .transform import CHANNEL_ORDERS, destride_layer, sampled_conv_identity, transform_network
 
 
 @dataclass(frozen=True)
@@ -156,41 +157,47 @@ def _single_layer_destride(rng) -> str:
 
 
 def _network_destride(rng) -> str:
+    # conv stacks of depth 1-5, strides 1-4 with a cumulative stride up to 8,
+    # heights and widths drawn apart; sizes are drawn from the last conv
+    # backwards so that every conv input divides by its cumulative stride,
+    # and each kernel is what the sizes then imply
     worst = 0.0
-    for trial in range(6):
-        depth = int(rng.integers(1, 4))
-        strides = [int(rng.integers(1, 4)) for _ in range(depth)]
-        while int(np.prod(strides)) > 6:
-            strides = [int(rng.integers(1, 4)) for _ in range(depth)]
-        sig_in = []
-        acc = 1
-        for s in reversed(strides):
-            acc *= s
-            sig_in.append(acc)
-        sig_in.reverse()
-        sizes = [0] * (depth + 1)
-        sizes[depth] = int(rng.integers(1, 4))
-        for i in reversed(range(depth)):
-            need = -((strides[i] * (sizes[i + 1] - 1) + 1) // -sig_in[i])
-            sizes[i] = sig_in[i] * (need + int(rng.integers(0, 2)))
+    nets = 10
+    for trial in range(nets):
+        depth = int(rng.integers(1, 6))
+        strides = [int(rng.integers(1, 5)) for _ in range(depth)]
+        while math.prod(strides) > 8:
+            strides = [int(rng.integers(1, 5)) for _ in range(depth)]
+        sig_in = [math.prod(strides[i:]) for i in range(depth)]
+        dims = []
+        for _ in range(2):
+            sizes = [int(rng.integers(1, 4))]
+            for i in reversed(range(depth)):
+                least = strides[i] * (sizes[0] - 1) + 1
+                sizes.insert(0, sig_in[i] * (-(-least // sig_in[i]) + int(rng.integers(0, 2))))
+            dims.append(sizes)
         chans = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
         layers = []
         for i in range(depth):
-            kernel = sizes[i] - strides[i] * (sizes[i + 1] - 1)
-            layers.append(ConvLayer(chans[i + 1], (kernel, kernel), strides[i]))
+            kernel = tuple(d[i] - strides[i] * (d[i + 1] - 1) for d in dims)
+            layers.append(ConvLayer(chans[i + 1], kernel, strides[i]))
             if rng.random() < 0.5:
                 layers.append(ActivationLayer("relu"))
         layers.append(FullyConnectedLayer(3))
         spec = init_params(
-            NetworkSpec(f"selftest-{trial}", (chans[0], sizes[0], sizes[0]), tuple(layers)),
+            NetworkSpec(f"selftest-{trial}", (chans[0], dims[0][0], dims[1][0]), tuple(layers)),
             seed=int(rng.integers(0, 2**31)),
         )
-        result = transform_network(spec)
-        report = verify_equivalence(spec, result.network, result.input_map,
-                                    trials=5, tol=1e-9, seed=trial)
-        assert report.passed, f"deviation {report.max_abs_dev:.2e}"
-        worst = max(worst, report.max_abs_dev)
-    return f"6 random networks equivalent, worst deviation {worst:.2e}"
+        for order in CHANNEL_ORDERS:
+            result = transform_network(spec, order)
+            report = verify_equivalence(spec, result.network, result.input_map,
+                                        trials=20, tol=1e-9, seed=trial)
+            assert report.passed, f"{spec.name} {order}: deviation {report.max_abs_dev:.2e}"
+            worst = max(worst, report.max_abs_dev)
+    return (
+        f"{nets} random networks equivalent under both channel orders, "
+        f"worst deviation {worst:.2e}"
+    )
 
 
 _PROPERTIES = (

@@ -32,9 +32,10 @@ rewrite never reorders the flattened features.
 
 Every integer field (channels_out, kernel, stride, units, input_shape,
 input_permutation, the input map's stride and entries, sidecar lengths) must
-be a JSON integer: floats and booleans are rejected, not coerced.  A layer
-may carry only the keys shown above for its kind, and inline weight arrays
-must be flat lists of JSON numbers.
+be a JSON integer: floats and booleans are rejected, not coerced.  The
+document, its network and each layer may carry only the keys shown above
+(a layer only those of its kind), "provenance" must be a string, and inline
+weight arrays must be flat lists of JSON numbers.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def _require(obj, key, kind, where):
     return val
 
 
+def _reject_unknown(obj, known, where):
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise SpecFormatError(f"{where}: unknown field {unknown[0]!r}")
+
+
 _LAYER_KEYS = {
     "conv": {"kind", "channels_out", "kernel", "stride"},
     "activation": {"kind", "function"},
@@ -111,9 +118,7 @@ def _layer_from_json(i, obj):
     kind = _require(obj, "kind", str, where)
     if kind not in _LAYER_KEYS:
         raise SpecFormatError(f"{where}: unknown kind {kind!r}")
-    unknown = sorted(set(obj) - _LAYER_KEYS[kind])
-    if unknown:
-        raise SpecFormatError(f"{where}: unknown field {unknown[0]!r} for a {kind} layer")
+    _reject_unknown(obj, _LAYER_KEYS[kind], f"{where} ({kind})")
     if kind == "conv":
         return ConvLayer(
             channels_out=_require(obj, "channels_out", int, where),
@@ -149,7 +154,11 @@ def _layer_to_json(layer) -> dict:
 
 
 def _network_from_json(obj) -> NetworkSpec:
+    _reject_unknown(obj, {"name", "provenance", "input_shape", "layers"}, "network")
     name = _require(obj, "name", str, "network")
+    provenance = (
+        _require(obj, "provenance", str, "network") if "provenance" in obj else "original"
+    )
     shape = _require(obj, "input_shape", list, "network")
     layers_json = _require(obj, "layers", list, "network")
     try:
@@ -158,7 +167,7 @@ def _network_from_json(obj) -> NetworkSpec:
             name=name,
             input_shape=_ints(shape, "network: input_shape"),
             layers=layers,
-            provenance=obj.get("provenance", "original"),
+            provenance=provenance,
         )
     except SpecFormatError:
         raise
@@ -253,6 +262,7 @@ def load_document(path) -> SpecDocument:
         raise SpecFormatError(
             f"{path}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
+    _reject_unknown(raw, {"schema_version", "network", "weights", "transform"}, str(path))
     network = _network_from_json(_require(raw, "network", dict, str(path)))
     mode = None
     if "weights" in raw:

@@ -273,21 +273,23 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
 
 
 def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
-    """Rearrange a raw input into the transformed network's channel layout
-    (space-to-depth): output channel i is the grid sample named by
-    input_map.entries[i]."""
+    """Rearrange a raw input (c, h, w), or a batch (N, c, h, w), into the
+    transformed network's channel layout (space-to-depth): output channel i
+    is the grid sample named by input_map.entries[i]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"input must be 3-D (channel, row, col), got rank {x.ndim}")
+    if x.ndim not in (3, 4):
+        raise ValueError(
+            f"input must be 3-D (channel, row, col) or 4-D (batch, channel, row, col), "
+            f"got rank {x.ndim}"
+        )
     s = input_map.stride
-    if x.shape[0] != input_map.source_channels:
-        raise ValueError(
-            f"input has {x.shape[0]} channels, map expects {input_map.source_channels}"
-        )
-    if x.shape[1] % s != 0 or x.shape[2] % s != 0:
-        raise ValueError(
-            f"input dims {x.shape[1]}x{x.shape[2]} not divisible by map stride {s}"
-        )
-    return np.stack(
-        [x[k - 1, p - 1 :: s, q - 1 :: s] for (k, p, q) in input_map.entries]
-    )
+    n, c, h, w = x.shape if x.ndim == 4 else (1,) + x.shape
+    if c != input_map.source_channels:
+        raise ValueError(f"input has {c} channels, map expects {input_map.source_channels}")
+    if h % s != 0 or w % s != 0:
+        raise ValueError(f"input dims {h}x{w} not divisible by map stride {s}")
+    # grids[:, k, p, q] is the (p, q, s) grid sample of channel k, 0-based
+    grids = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
+    k, p, q = (np.array(input_map.entries) - 1).T
+    out = grids[:, k, p, q]
+    return out if x.ndim == 4 else out[0]

@@ -1,14 +1,17 @@
 """Brute-force reference implementations used to check the library.
 
-Everything here is deliberately written as plain index loops, without any
-vectorisation and without importing the package under test, so that the two
-sides of every comparison are independent.  Slow is fine; these only run on
-small inputs.
+Everything here is deliberately written without importing the package under
+test, so that the two sides of every comparison are independent, and mostly
+as plain index loops.  The exception is the single-input evaluator at the end
+(einsum_conv and what builds on it): one input and one einsum per conv at a
+time, a reference for the package's batched im2col products that shares
+none of their code.  Slow is fine; these only run on small inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def slide_correlate(h, x):
@@ -133,3 +136,48 @@ def source_map(cin, kernel, stride, sigma_in, out_entries, in_entries):
                 for t, value in enumerate(line):
                     out[a, b, r, t] = value
     return out
+
+
+def einsum_conv(w, x, s):
+    """Strided multi-channel correlation of one (channel, row, col) map, as
+    one einsum over sliding windows."""
+    windows = sliding_window_view(x, w.shape[2:], axis=(1, 2))[:, ::s, ::s]
+    return np.einsum("oiuv,ihwuv->ohw", w, windows)
+
+
+def einsum_forward(spec, x):
+    """One input through a network, one layer at a time: einsum_conv for a
+    conv, max(x, 0) or identity for an activation, the weights times the
+    (permuted) flattened map for a dense layer.  Layers are told apart by
+    their fields, so nothing of the package is imported."""
+    x = np.asarray(x, dtype=float)
+    for layer in spec.layers:
+        if hasattr(layer, "kernel"):
+            x = einsum_conv(layer.weights, x, layer.stride)
+        elif hasattr(layer, "function"):
+            x = np.maximum(x, 0.0) if layer.function == "relu" else x
+        else:
+            v = x.ravel()
+            if layer.input_permutation is not None:
+                v = v[np.asarray(layer.input_permutation)]
+            x = layer.weights @ v
+    return np.asarray(x, dtype=float).ravel()
+
+
+def space_to_depth(x, entries, s):
+    """Stack the (p, q, s) grid sample of channel k for each 1-based entry
+    (k, p, q) of a channel map."""
+    return np.stack([x[k - 1, p - 1 :: s, q - 1 :: s] for k, p, q in entries])
+
+
+def verify_loop(original, transformed, entries, s, trials, seed):
+    """The per-trial verification loop: the deviation of each trial, drawing
+    one input at a time from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    devs = []
+    for _ in range(trials):
+        x = rng.standard_normal(original.input_shape)
+        y = einsum_forward(original, x)
+        yt = einsum_forward(transformed, space_to_depth(x, entries, s))
+        devs.append(float(np.max(np.abs(y - yt))))
+    return devs

@@ -93,6 +93,9 @@ def test_transform_invalid_document_exit2(tmp_path, capsys):
     layer = raw["network"]["layers"][2]
     layer["strides"] = layer.pop("stride")  # unknown keys are not ignored
     bad.append(json.dumps(raw).encode())
+    raw = json.loads((FIXTURES / "lenet.json").read_text())
+    raw["weigths"] = {"mode": "inline", "arrays": {}}  # nor at the top level
+    bad.append(json.dumps(raw).encode())
     for text in bad:
         p.write_bytes(text)
         rc = main(["transform", str(p), str(tmp_path / "o.json")])

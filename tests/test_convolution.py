@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,11 @@ from destride import (
     zero_pad,
 )
 
-from oracles import multichannel_forward, slide_correlate, slide_correlate_strided
+from oracles import einsum_conv, multichannel_forward, slide_correlate, slide_correlate_strided
+
+# batched im2col products against one-input einsums and loops: the summation
+# order differs, so agreement is to this fraction of the largest output
+REL_TOL = 1e-13
 
 
 def test_conv2d_frozen_row_example():
@@ -243,3 +249,46 @@ def test_conv_multichannel_matches_loop_oracle():
 def test_conv_multichannel_channel_mismatch():
     with pytest.raises(ValueError):
         conv_multichannel(np.ones((1, 2, 2, 2)), np.ones((3, 5, 5)))
+
+
+def test_conv_multichannel_batch_matches_single_items_and_oracles():
+    r = np.random.default_rng(21)
+    for _ in range(25):
+        cin, cout = (int(v) for v in r.integers(1, 4, 2))
+        s = int(r.integers(1, 4))
+        a, b = (int(v) for v in r.integers(1, 6, 2))
+        h, w = int(r.integers(a, a + 7)), int(r.integers(b, b + 7))
+        wt = r.standard_normal((cout, cin, a, b))
+        x = r.standard_normal((int(r.integers(1, 9)), cin, h, w))
+        got = conv_multichannel(wt, x, stride=s)
+        singles = np.stack([conv_multichannel(wt, item, stride=s) for item in x])
+        loops = np.stack([multichannel_forward(wt, item, s) for item in x])
+        einsums = np.stack([einsum_conv(wt, item, s) for item in x])
+        assert got.shape == loops.shape
+        bound = REL_TOL * np.abs(loops).max()
+        for want in (singles, loops, einsums):
+            assert np.abs(got - want).max() <= bound
+
+
+def test_conv_multichannel_column_matrix_stays_within_input():
+    # a large strided kernel: each item's column matrix holds 3.6x its input,
+    # so building the whole batch's at once would need 3.6x the input
+    r = np.random.default_rng(22)
+    w = r.standard_normal((2, 3, 12, 9))
+    x = r.standard_normal((50, 3, 18, 15))
+    want = np.stack([multichannel_forward(w, item, 3) for item in x])
+    tracemalloc.start()
+    try:
+        y = conv_multichannel(w, x, stride=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + y.nbytes
+    assert np.abs(y - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def test_conv_multichannel_rejects_other_ranks():
+    w = np.ones((1, 1, 2, 2))
+    for shape in ((1, 1, 1, 4, 4), (4, 4)):
+        with pytest.raises(ValueError, match="rank"):
+            conv_multichannel(w, np.ones(shape))

@@ -16,7 +16,7 @@ from destride import (
     verify_equivalence,
 )
 
-from oracles import multichannel_forward
+from oracles import multichannel_forward, verify_loop
 
 
 def _lenet():
@@ -173,6 +173,22 @@ def test_forward_validates_input_shape():
         forward(spec, np.zeros((1, 5, 4)))
 
 
+def test_forward_batch_shapes_and_rejections():
+    spec = init_params(
+        NetworkSpec("b", (2, 6, 6), (ConvLayer(3, (2, 2), 2), ActivationLayer("relu"))),
+        seed=4,
+    )
+    x = np.random.default_rng(43).standard_normal((5, 2, 6, 6))
+    assert forward(spec, x).shape == (5, 27)
+    assert forward(spec, x[:1]).shape == (1, 27)
+    assert forward(spec, x[2]).shape == (27,)
+    for bad in (x[None], x[0, 0]):
+        with pytest.raises(ValueError, match="rank"):
+            forward(spec, bad)
+    with pytest.raises(ValueError, match=r"\(1, 6, 6\) != spec input \(2, 6, 6\)"):
+        forward(spec, x[:, :1])
+
+
 def test_init_params_deterministic_and_bounded():
     a = init_params(_lenet(), seed=5)
     b = init_params(_lenet(), seed=5)
@@ -229,6 +245,50 @@ def test_verify_equivalence_zero_weight_networks():
                                 trials=5, tol=1e-9, seed=3)
     assert report.passed
     assert report.max_abs_dev == 0.0
+
+
+def test_verify_equivalence_draws_the_per_trial_inputs():
+    spec = init_params(
+        NetworkSpec("v", (1, 6, 6), (ConvLayer(2, (2, 2), 2), ActivationLayer("relu"),
+                                     FullyConnectedLayer(3))),
+        seed=12,
+    )
+    rng = np.random.default_rng(7)
+    batch = np.random.default_rng(7).standard_normal((6,) + spec.input_shape)
+    assert np.array_equal(batch, [rng.standard_normal(spec.input_shape) for _ in range(6)])
+    # a broken rewrite deviates by a different O(1) amount on every input, so
+    # equal deviations mean the same inputs in the same order
+    result = transform_network(spec)
+    layers = list(result.network.layers)
+    bad = layers[0].weights.copy()
+    bad[0, 0, 0, 0] += 1.0
+    layers[0] = ConvLayer(layers[0].channels_out, layers[0].kernel, 1, bad)
+    broken = NetworkSpec(result.network.name, result.network.input_shape, tuple(layers))
+    m = result.input_map
+    want = verify_loop(spec, broken, m.entries, m.stride, trials=6, seed=7)
+    got = verify_equivalence(spec, broken, m, trials=6, tol=1e-9, seed=7).deviations
+    assert min(want) > 1e-3
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_verify_equivalence_fails_when_some_trials_are_not_finite():
+    # a -inf dense weight (documents may carry -Infinity) behind a ReLU: where
+    # the unit is on, both networks give -inf, clamped to 0 by the last ReLU,
+    # so the trial deviates by exactly 0; where it is off, -inf * 0 is NaN
+    spec = init_params(
+        NetworkSpec("v", (1, 6, 6), (ConvLayer(2, (2, 2), 2), ActivationLayer("relu"),
+                                     FullyConnectedLayer(1), ActivationLayer("relu"))),
+        seed=14,
+    )
+    spec.layers[2].weights[0, 0] = -np.inf
+    result = transform_network(spec)
+    with np.errstate(invalid="ignore"):
+        report = verify_equivalence(spec, result.network, result.input_map,
+                                    trials=20, tol=1e-9, seed=2)
+    devs = np.array(report.deviations)
+    assert (devs == 0.0).any() and np.isnan(devs).any()
+    assert set(devs[~np.isnan(devs)]) == {0.0}
+    assert not report.passed
 
 
 def test_verify_equivalence_rejects_bad_trials():

@@ -173,6 +173,38 @@ def test_load_rejects_missing_fields(tmp_path):
         load_document(p)
 
 
+def test_load_rejects_unknown_document_and_network_keys(tmp_path):
+    base = {
+        "schema_version": 1,
+        "network": {"name": "n", "provenance": "original", "input_shape": [1, 4, 4],
+                    "layers": [{"kind": "fully_connected", "units": 2}]},
+    }
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(base))
+    load_document(p)
+    misspelt = dict(base, weigths={"mode": "inline", "arrays": {"0": [0.5] * 32}})
+    p.write_text(json.dumps(misspelt))
+    with pytest.raises(SpecFormatError, match="'weigths'"):
+        load_document(p)
+    network = dict(base["network"], input_size=[1, 4, 4])
+    p.write_text(json.dumps(dict(base, network=network)))
+    with pytest.raises(SpecFormatError, match="'input_size'"):
+        load_document(p)
+
+
+def test_load_rejects_non_string_provenance(tmp_path):
+    p = tmp_path / "x.json"
+    for provenance in (5, None, ["original"]):
+        raw = {
+            "schema_version": 1,
+            "network": {"name": "n", "provenance": provenance, "input_shape": [1, 4, 4],
+                        "layers": []},
+        }
+        p.write_text(json.dumps(raw))
+        with pytest.raises(SpecFormatError, match="provenance"):
+            load_document(p)
+
+
 def test_load_rejects_unknown_layer_kind(tmp_path):
     p = tmp_path / "x.json"
     p.write_text(

@@ -25,7 +25,11 @@ from destride import (
     verify_equivalence,
 )
 
-from oracles import slide_correlate_strided, source_map
+from oracles import einsum_forward, slide_correlate_strided, source_map, space_to_depth
+
+# batched im2col forward against one-input einsums: the summation order
+# differs, so agreement is to this fraction of the largest output
+REL_TOL = 1e-13
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -278,6 +282,19 @@ def test_reshape_input_validations():
         reshape_input(np.ones((1, 5, 6)), cm)
 
 
+def test_reshape_input_batch_equals_stacked_single_calls():
+    r = np.random.default_rng(32)
+    x = r.standard_normal((5, 2, 6, 9))
+    for order in CHANNEL_ORDERS:
+        cm = ChannelMap(3, _entries(2, 3, order))
+        got = reshape_input(x, cm)
+        assert got.shape == (5, 18, 2, 3)
+        assert np.array_equal(got, np.stack([reshape_input(item, cm) for item in x]))
+        assert np.array_equal(got[4], space_to_depth(x[4], cm.entries, 3))
+    with pytest.raises(ValueError, match="rank"):
+        reshape_input(x[None], cm)
+
+
 def test_transform_equivalence_small_nets():
     r = np.random.default_rng(27)
     cases = [
@@ -457,6 +474,33 @@ def test_sources_match_oracle_on_lenet_fixture():
         _assert_sources_match_oracle(spec, transform_network(spec, order).sources, order)
 
 
+def _assert_batched_forward_agrees(spec, seed, batch=4):
+    """Batched forward of the network and of each rewrite agrees with forward
+    on each input alone and with the one-input einsum oracle."""
+    x = np.random.default_rng(seed).standard_normal((batch,) + spec.input_shape)
+    for order in CHANNEL_ORDERS:
+        result = transform_network(spec, order)
+        m = result.input_map
+        pairs = [
+            (spec, x, x),
+            (result.network, reshape_input(x, m),
+             np.stack([space_to_depth(item, m.entries, m.stride) for item in x])),
+        ]
+        for net, inputs, oracle_inputs in pairs:
+            got = forward(net, inputs)
+            singles = np.stack([forward(net, item) for item in inputs])
+            want = np.stack([einsum_forward(net, item) for item in oracle_inputs])
+            assert got.shape == want.shape
+            bound = REL_TOL * np.abs(want).max()
+            assert np.abs(got - singles).max() <= bound, (net.name, order)
+            assert np.abs(got - want).max() <= bound, (net.name, order)
+
+
+def test_batched_forward_agrees_on_lenet_fixture():
+    spec = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    _assert_batched_forward_agrees(spec, seed=1)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sources_match_oracle_on_random_nets(seed):
     spec = init_params(_random_net(seed), seed=seed)
@@ -466,3 +510,4 @@ def test_sources_match_oracle_on_random_nets(seed):
         report = verify_equivalence(spec, result.network, result.input_map,
                                     trials=3, tol=1e-9, seed=seed)
         assert report.passed, report.max_abs_dev
+    _assert_batched_forward_agrees(spec, seed)
