@@ -15,7 +15,7 @@ extract_filter are written against that layout.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .tensors import as_matrix, as_tensor4
 
@@ -53,7 +53,7 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     Computed as im2col (Chellapilla et al. 2006): the weights reshaped to
     (out, in*a*b) times a column matrix (in*a*b, oh*ow) per batch item, whose
     column for each kept output position holds the in*a*b input values under
-    the kernel there, read from sliding_window_view windows.  An item's
+    the kernel there, read from a strided window view.  An item's
     column matrix holds a*b*oh*ow / (h*w) times the values of its feature
     map, so the batch goes through the product in slices of
     max(1, N*h*w // (a*b*oh*ow)) items: each slice's column matrix is no
@@ -80,9 +80,16 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     if a > h or b > wd:
         raise ValueError(f"filter {w.shape[2:]} larger than image {(h, wd)}")
     oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
-    # (N, c, a, b, oh, ow), a view; each slice of it is copied into cols
-    windows = sliding_window_view(x, (a, b), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows.transpose(0, 1, 4, 5, 2, 3)
+    # (N, c, a, b, oh, ow), a read-only view that stays inside x because
+    # (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd; each slice
+    # of it is copied into cols
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(
+        x,
+        shape=(n, c, a, b, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
     kernel = w.reshape(out_c, c * a * b)
     out = np.empty((n, out_c, oh * ow))
     step = min(n, max(1, n * h * wd // (a * b * oh * ow)))

@@ -22,7 +22,18 @@ Weights are either inline ({"mode": "inline", "arrays": {"<layer index>":
 "relative/file.bin", "lengths": {"<layer index>": count}}).  The sidecar is
 raw little-endian float64, layers concatenated in index order.  Inline
 decimal values round-trip bit-exactly (shortest-repr floats); sidecars are
-the raw bytes, so both modes reload to identical arrays.
+the raw bytes, so both modes reload to identical arrays.  A layer-index key
+is the canonical decimal str(i) of a parameterized layer, in "arrays" and
+in "lengths" alike: "00", "+0" or " 0" is rejected, so no two keys can name
+one layer.
+
+The written layout is part of the format, and the writer keeps it byte for
+byte: the text json.dumps(document, indent=1) gives, plus a final newline.
+That is one space per level of nesting and one value per line (an inline
+weight value sits at depth 4, a weight array's brackets at depth 3), ASCII
+only with every other character escaped as \\uXXXX, integers without a
+decimal point, and non-finite weights spelled NaN, Infinity and -Infinity,
+as Python's json module reads and writes them.
 
 The transform block links a transformed document to its source:
 {"source": name, "input_map": {"stride": s, "entries": [[k, p, q], ...]}}.
@@ -56,6 +67,8 @@ from .network import (
 from .transform import ChannelMap
 
 SCHEMA_VERSION = 1
+# values per C-encoder call when writing an inline weight array
+_CHUNK = 1 << 12
 
 
 class SpecFormatError(ValueError):
@@ -222,10 +235,15 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
 
 
 def _weight_index(key: str, expected: dict) -> int:
+    """The layer index a weights key names.  Only the canonical str(i) is
+    accepted: "00", "+0" or " 0" would alias layer 0, and the later of two
+    such keys would silently replace the earlier's values."""
     try:
         idx = int(key)
     except (TypeError, ValueError):
         raise SpecFormatError(f"weights: bad layer index {key!r}") from None
+    if key != str(idx):
+        raise SpecFormatError(f"weights: layer index {key!r} must be written {str(idx)!r}")
     if idx not in expected:
         raise SpecFormatError(f"weights: layer {idx} is not a parameterized layer")
     return idx
@@ -295,12 +313,12 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
         for i, l in enumerate(network.layers)
         if getattr(l, "weights", None) is not None
     }
+    inline = {}
     if weights_mode is not None and carrying:
         if weights_mode == "inline":
-            out["weights"] = {
-                "mode": "inline",
-                "arrays": {str(i): w.ravel().tolist() for i, w in carrying.items()},
-            }
+            inline = carrying
+            # placeholders, each replaced by its array's values below
+            out["weights"] = {"mode": "inline", "arrays": {str(i): [] for i in carrying}}
         elif weights_mode == "sidecar":
             sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
             blob = np.concatenate(
@@ -323,4 +341,35 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
                 "entries": [list(e) for e in meta.input_map.entries],
             },
         }
-    path.write_text(json.dumps(out, indent=1) + "\n")
+    # Only the small skeleton goes through the pure-Python encoder that
+    # indent=1 selects.  Strings are written with their newlines escaped, so
+    # a raw newline, three spaces and '"<i>": ' can only be a dict key at
+    # depth 3, and the only such keys that are layer indices are those of
+    # "arrays": each placeholder is found exactly, whatever the strings hold.
+    rest = json.dumps(out, indent=1)
+    parts = []
+    for i, w in inline.items():
+        key = f'\n   "{i}": '
+        head, _, rest = rest.partition(key + "[]")
+        parts += [head, key, *_inline_array(w)]
+    parts += [rest, "\n"]
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines(parts)
+
+
+def _inline_array(w) -> list[str]:
+    """The text json.dumps(..., indent=1) gives an inline weight array, one
+    value per line at depth 4, in pieces from the C encoder: the same
+    spelling of every value (NaN, Infinity, -0.0, an int64 as 1) at a
+    fraction of the pure-Python encoder's time.  Encoding _CHUNK values at a
+    time keeps the Python floats and the encoder's buffers that are alive at
+    once small beside the text itself."""
+    flat = w.ravel()
+    if flat.size == 0:
+        return ["[]"]
+    parts = ["[\n    "]
+    for start in range(0, flat.size, _CHUNK):
+        body = json.dumps(flat[start : start + _CHUNK].tolist(), separators=(",\n    ", ": "))
+        parts += [body[1:-1], ",\n    "]
+    parts[-1] = "\n   ]"
+    return parts

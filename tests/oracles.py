@@ -6,9 +6,14 @@ as plain index loops.  The exception is the single-input evaluator at the end
 (einsum_conv and what builds on it): one input and one einsum per conv at a
 time, a reference for the package's batched im2col products that shares
 none of their code.  Slow is fine; these only run on small inputs.
+document_text, last, is the spec writer as the single json.dumps call it
+once was, the reference for the spliced writer's bytes.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -181,3 +186,57 @@ def verify_loop(original, transformed, entries, s, trials, seed):
         yt = einsum_forward(transformed, space_to_depth(x, entries, s))
         devs.append(float(np.max(np.abs(y - yt))))
     return devs
+
+
+def document_text(path, doc, weights_mode=None, sidecar_path=None):
+    """The text a spec document is saved as: the whole document as one dict
+    through json.dumps(indent=1), as the writer built it before splicing in
+    its weight arrays.  The sidecar itself is not written.  Layers are told
+    apart by their fields, so nothing of the package is imported."""
+    path = Path(path)
+    network = doc.network
+    layers = []
+    for layer in network.layers:
+        if hasattr(layer, "kernel"):
+            layers.append({"kind": "conv", "channels_out": int(layer.channels_out),
+                           "kernel": [int(v) for v in layer.kernel],
+                           "stride": int(layer.stride)})
+        elif hasattr(layer, "function"):
+            layers.append({"kind": "activation", "function": layer.function})
+        else:
+            dense = {"kind": "fully_connected", "units": int(layer.units)}
+            if layer.input_permutation is not None:
+                dense["input_permutation"] = [int(v) for v in layer.input_permutation]
+            layers.append(dense)
+    out = {
+        "schema_version": 1,
+        "network": {
+            "name": network.name,
+            "provenance": network.provenance,
+            "input_shape": [int(v) for v in network.input_shape],
+            "layers": layers,
+        },
+    }
+    carrying = {i: l.weights for i, l in enumerate(network.layers)
+                if getattr(l, "weights", None) is not None}
+    if weights_mode == "inline" and carrying:
+        out["weights"] = {
+            "mode": "inline",
+            "arrays": {str(i): w.ravel().tolist() for i, w in carrying.items()},
+        }
+    elif weights_mode == "sidecar" and carrying:
+        sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
+        out["weights"] = {
+            "mode": "sidecar",
+            "path": sidecar.name if sidecar.parent == path.parent else str(sidecar),
+            "lengths": {str(i): int(carrying[i].size) for i in sorted(carrying)},
+        }
+    if doc.transform is not None:
+        out["transform"] = {
+            "source": doc.transform.source,
+            "input_map": {
+                "stride": doc.transform.input_map.stride,
+                "entries": [list(e) for e in doc.transform.input_map.entries],
+            },
+        }
+    return json.dumps(out, indent=1) + "\n"

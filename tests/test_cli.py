@@ -96,6 +96,16 @@ def test_transform_invalid_document_exit2(tmp_path, capsys):
     raw = json.loads((FIXTURES / "lenet.json").read_text())
     raw["weigths"] = {"mode": "inline", "arrays": {}}  # nor at the top level
     bad.append(json.dumps(raw).encode())
+    # a layer-index key is the canonical str(i): "00" and "+0" alias layer 0
+    np.full(500, 0.5).tofile(tmp_path / "w.bin")
+    for weights in (
+        {"mode": "inline", "arrays": {"0": [0.5] * 500, "00": [0.25] * 500}},
+        {"mode": "inline", "arrays": {"+0": [0.5] * 500}},
+        {"mode": "sidecar", "path": "w.bin", "lengths": {" 0": 500}},
+    ):
+        raw = json.loads((FIXTURES / "lenet.json").read_text())
+        raw["weights"] = weights
+        bad.append(json.dumps(raw).encode())
     for text in bad:
         p.write_bytes(text)
         rc = main(["transform", str(p), str(tmp_path / "o.json")])

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from destride import (
+    CHANNEL_ORDERS,
     ActivationLayer,
     ConvLayer,
     FullyConnectedLayer,
@@ -18,6 +21,7 @@ from destride import (
     save_document,
     transform_network,
 )
+from oracles import document_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -257,6 +261,13 @@ def test_load_rejects_bad_layer_values(tmp_path):
         doc([conv], weights=[[0.5] * 4, [0.5] * 3]),
         doc([conv], weights=[[0.5] * 4, [0.5] * 4]),
     ]
+    # a layer-index key is the canonical str(i), so no two keys name one layer
+    np.full(8, 0.5).tofile(tmp_path / "w.bin")
+    for aliases in ({"0": [0.5] * 8, "00": [0.25] * 8}, {"+0": [0.5] * 8}, {" 0": [0.5] * 8}):
+        cases.append(dict(doc([conv]), weights={"mode": "inline", "arrays": aliases}))
+    for key in ("00", "+0", " 0", "0 "):
+        cases.append(dict(doc([conv]), weights={"mode": "sidecar", "path": "w.bin",
+                                                "lengths": {key: 8}}))
     p = tmp_path / "x.json"
     for raw in cases:
         p.write_text(json.dumps(raw))
@@ -322,3 +333,89 @@ def test_corrupted_sidecar_changes_loaded_values(tmp_path):
     doc = load_document(p)
     assert not _networks_equal(spec, doc.network)
     assert doc.network.layers[0].weights.ravel()[0] == spec.layers[0].weights.ravel()[0] + 1.0
+
+
+@pytest.fixture(scope="module")
+def lenet():
+    return init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+
+
+@pytest.mark.parametrize("order", CHANNEL_ORDERS)
+def test_saved_bytes_equal_single_dumps_on_transformed_lenet(tmp_path, lenet, order):
+    result = transform_network(lenet, channel_order=order)
+    doc = SpecDocument(
+        network=result.network,
+        transform=TransformMetadata(source=lenet.name, input_map=result.input_map),
+    )
+    for mode in ("inline", "sidecar"):
+        p = tmp_path / f"{mode}.json"
+        save_document(p, doc, weights_mode=mode)
+        assert p.read_bytes() == document_text(p, doc, weights_mode=mode).encode()
+
+
+def test_saved_bytes_equal_single_dumps_on_edge_cases(tmp_path):
+    spec = _small_net(seed=11)
+    conv, relu, dense = spec.layers
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16,
+         -1e16, 9007199254740993.0, 1e-7, 0.1] * 2
+    ).reshape(conv.weights.shape)
+    ints = np.arange(-12, 12, dtype=np.int64).reshape(conv.weights.shape)
+    imap = transform_network(spec).input_map
+    placeholders = ["[]", '\n   "0": []', '"0": []', '   "0": []\n']
+    docs = [
+        SpecDocument(network=_small_net()),
+        SpecDocument(network=spec),
+        SpecDocument(network=replace(spec, layers=(replace(conv, weights=specials), relu, dense))),
+        SpecDocument(network=replace(spec, layers=(
+            replace(conv, weights=ints), relu, replace(dense, weights=dense.weights.astype(np.float32))
+        ))),
+        # a layer whose weights array is empty is written as []
+        SpecDocument(network=replace(spec, layers=(conv, relu, replace(dense, weights=np.empty(0))))),
+        SpecDocument(
+            network=replace(spec, name="r\u00e9seau \u7f51\u7edc \U0001f600", provenance="\u00fc"),
+            transform=TransformMetadata(source="\u00df\u2028\x00", input_map=imap),
+        ),
+    ]
+    for text in placeholders:
+        docs.append(SpecDocument(
+            network=replace(spec, name=text, provenance=text),
+            transform=TransformMetadata(source=text, input_map=imap),
+        ))
+    p = tmp_path / "a.json"
+    for doc in docs:
+        for mode in (None, "inline", "sidecar"):
+            save_document(p, doc, weights_mode=mode)
+            assert p.read_bytes() == document_text(p, doc, weights_mode=mode).encode(), (
+                doc.network.name, mode)
+    # the sidecar named by path, as written next to the document or elsewhere
+    for sidecar in (tmp_path / "w.bin", tmp_path / "sub" / "w.bin"):
+        sidecar.parent.mkdir(exist_ok=True)
+        save_document(p, docs[1], weights_mode="sidecar", sidecar_path=sidecar)
+        assert p.read_bytes() == document_text(
+            p, docs[1], weights_mode="sidecar", sidecar_path=sidecar).encode()
+
+
+def test_save_inline_peak_memory_is_bounded_by_the_text(tmp_path):
+    # a narrow LeNet (27,280 stored values once transformed): the Python
+    # objects alive at once while writing stay within 3.5x the bytes written
+    spec = NetworkSpec("lenet-narrow", (1, 28, 28), (
+        ConvLayer(4, (5, 5)), ActivationLayer("relu"), ConvLayer(4, (2, 2), 2),
+        ConvLayer(10, (5, 5)), ActivationLayer("relu"), ConvLayer(10, (2, 2), 2),
+        FullyConnectedLayer(100), ActivationLayer("relu"),
+    ))
+    result = transform_network(init_params(spec, seed=0))
+    doc = SpecDocument(
+        network=result.network,
+        transform=TransformMetadata(source=spec.name, input_map=result.input_map),
+    )
+    p = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        save_document(p, doc, weights_mode="inline")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = p.stat().st_size
+    assert written > 500_000
+    assert peak <= 3.5 * written, (peak, written)
