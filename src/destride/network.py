@@ -53,9 +53,6 @@ class ActivationLayer:
 class FullyConnectedLayer:
     units: int
     weights: np.ndarray | None = None
-    # permutation applied to the flattened vector before the multiply:
-    # column j of the weight matrix meets flat element input_permutation[j]
-    input_permutation: np.ndarray | None = None
 
     def __post_init__(self):
         if self.units < 1:
@@ -130,9 +127,6 @@ def infer_shapes(spec: NetworkSpec) -> list:
         weights = getattr(layer, "weights", None)
         if weights is not None and weights.shape != wshape:
             raise ValueError(f"layer {i}: weight shape {weights.shape} != declared {wshape}")
-        perm = getattr(layer, "input_permutation", None)
-        if perm is not None and len(perm) != wshape[1]:
-            raise ValueError(f"layer {i}: permutation length {len(perm)} != {wshape[1]}")
         out.append(shape)
     return out
 
@@ -165,8 +159,6 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
             if layer.weights is None:
                 raise ValueError(f"layer {i}: fully connected layer has no weights")
             v = x.reshape(len(x), -1)
-            if layer.input_permutation is not None:
-                v = v[:, np.asarray(layer.input_permutation, dtype=np.int64)]
             if layer.weights.shape[1] != v.shape[1]:
                 raise ValueError(
                     f"layer {i}: weight columns {layer.weights.shape[1]} != "

@@ -10,7 +10,7 @@ A document is a JSON object:
         "layers": [
           {"kind": "conv", "channels_out": C, "kernel": [kh, kw], "stride": s},
           {"kind": "activation", "function": "relu"},
-          {"kind": "fully_connected", "units": U, "input_permutation": [...]?}
+          {"kind": "fully_connected", "units": U}
         ]
       },
       "weights": { ... }?,        optional
@@ -41,11 +41,21 @@ Documents written by earlier versions also carry "flatten_permutation":
 [0-based indices]; it is still read, and must be the identity, since the
 rewrite never reorders the flattened features.
 
+Documents written by earlier versions may also give a dense layer
+"input_permutation": [0-based indices], one per feature the layer reads:
+column j of its weights meets flattened feature input_permutation[j].  The
+list is read and checked (each index in [0, features)), folded into the
+weight columns at load, and never written: W2 = zeros, then
+np.add.at(W2, (:, perm), W) gives v @ W2.T == v[perm] @ W.T, so the layer
+computes the same function up to summation order.  An architecture-only
+document's list is checked, then dropped.
+
 Every integer field (channels_out, kernel, stride, units, input_shape,
 input_permutation, the input map's stride and entries, sidecar lengths) must
-be a JSON integer: floats and booleans are rejected, not coerced.  The
-document, its network and each layer may carry only the keys shown above
-(a layer only those of its kind), "provenance" must be a string, and inline
+be a JSON integer: floats and booleans are rejected, not coerced, and
+sidecar lengths must not be negative.  The document, its network and each
+layer may carry only the keys shown above (a layer only those of its kind),
+no object may repeat a key, "provenance" must be a string, and inline
 weight arrays must be flat lists of JSON numbers.
 """
 
@@ -141,13 +151,7 @@ def _layer_from_json(i, obj):
     if kind == "activation":
         return ActivationLayer(function=_require(obj, "function", str, where))
     if kind == "fully_connected":
-        perm = obj.get("input_permutation")
-        return FullyConnectedLayer(
-            units=_require(obj, "units", int, where),
-            input_permutation=None
-            if perm is None
-            else np.asarray(_ints(perm, f"{where}: input_permutation"), dtype=np.int64),
-        )
+        return FullyConnectedLayer(units=_require(obj, "units", int, where))
 
 
 def _layer_to_json(layer) -> dict:
@@ -160,10 +164,7 @@ def _layer_to_json(layer) -> dict:
         }
     if isinstance(layer, ActivationLayer):
         return {"kind": "activation", "function": layer.function}
-    out = {"kind": "fully_connected", "units": int(layer.units)}
-    if layer.input_permutation is not None:
-        out["input_permutation"] = [int(v) for v in layer.input_permutation]
-    return out
+    return {"kind": "fully_connected", "units": int(layer.units)}
 
 
 def _network_from_json(obj) -> NetworkSpec:
@@ -188,7 +189,29 @@ def _network_from_json(obj) -> NetworkSpec:
         raise SpecFormatError(f"network: {e}") from None
 
 
-def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
+def _input_permutations(network: NetworkSpec, layers_json) -> dict:
+    """Layer index -> the "input_permutation" list of each dense layer that
+    carries one, checked against the number of features the layer reads."""
+    perms = {
+        i: _ints(l["input_permutation"], f"layer {i}: input_permutation")
+        for i, l in enumerate(layers_json)
+        if "input_permutation" in l
+    }
+    if not perms:
+        return perms
+    # walked only here and outside _network_from_json's error conversion, so
+    # that a geometry error keeps its exit code whether or not the key is set
+    wshapes = [wshape for _, _, wshape in _walk(network)]
+    for i, perm in perms.items():
+        feats = wshapes[i][1]
+        if len(perm) != feats or not all(0 <= v < feats for v in perm):
+            raise SpecFormatError(
+                f"layer {i}: input_permutation must hold {feats} indices in [0, {feats})"
+            )
+    return perms
+
+
+def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> NetworkSpec:
     expected = {
         i: wshape for i, (_, _, wshape) in enumerate(_walk(network)) if wshape is not None
     }
@@ -205,10 +228,12 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
     elif mode == "sidecar":
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
-        order = sorted(_weight_index(k, expected) for k in lengths)
         counts = {
             _weight_index(k, expected): _int(v, "weights: lengths") for k, v in lengths.items()
         }
+        for idx, n in counts.items():
+            if n < 0:
+                raise SpecFormatError(f"weights: layer {idx} has negative length {n}")
         blob = np.fromfile(doc_dir / rel, dtype="<f8")
         if blob.size != sum(counts.values()):
             raise SpecFormatError(
@@ -216,7 +241,7 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
                 f"{sum(counts.values())}"
             )
         pos = 0
-        for idx in order:
+        for idx in sorted(counts):
             flats[idx] = blob[pos : pos + counts[idx]]
             pos += counts[idx]
     else:
@@ -230,7 +255,12 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
                 f"weights: layer {idx} has {flat.size} values, shape {want} "
                 f"needs {int(np.prod(want))}"
             )
-        layers[idx] = replace(layers[idx], weights=flat.reshape(want))
+        w = flat.reshape(want)
+        if idx in perms:
+            # v @ w.T == v[perm] @ read.T: column j moves to column perm[j]
+            w, read = np.zeros_like(w), w
+            np.add.at(w, (slice(None), list(perms[idx])), read)
+        layers[idx] = replace(layers[idx], weights=w)
     return replace(network, layers=tuple(layers))
 
 
@@ -266,11 +296,22 @@ def _transform_from_json(obj) -> TransformMetadata:
         raise SpecFormatError(f"transform: {e}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: json.loads alone keeps the last of two equal
+    keys, so a repeated "0" in "arrays" would silently replace the first."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecFormatError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_document(path) -> SpecDocument:
     """Parse and validate a spec document (and its sidecar, if any)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SpecFormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(raw, dict):
@@ -281,11 +322,13 @@ def load_document(path) -> SpecDocument:
             f"{path}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
     _reject_unknown(raw, {"schema_version", "network", "weights", "transform"}, str(path))
-    network = _network_from_json(_require(raw, "network", dict, str(path)))
+    nobj = _require(raw, "network", dict, str(path))
+    network = _network_from_json(nobj)
+    perms = _input_permutations(network, nobj["layers"])
     mode = None
     if "weights" in raw:
         wobj = _require(raw, "weights", dict, str(path))
-        network = _attach_weights(network, wobj, path.parent)
+        network = _attach_weights(network, wobj, path.parent, perms)
         mode = wobj["mode"]
     meta = None
     if "transform" in raw:

@@ -153,8 +153,8 @@ def einsum_conv(w, x, s):
 def einsum_forward(spec, x):
     """One input through a network, one layer at a time: einsum_conv for a
     conv, max(x, 0) or identity for an activation, the weights times the
-    (permuted) flattened map for a dense layer.  Layers are told apart by
-    their fields, so nothing of the package is imported."""
+    flattened map for a dense layer.  Layers are told apart by their fields,
+    so nothing of the package is imported."""
     x = np.asarray(x, dtype=float)
     for layer in spec.layers:
         if hasattr(layer, "kernel"):
@@ -162,10 +162,7 @@ def einsum_forward(spec, x):
         elif hasattr(layer, "function"):
             x = np.maximum(x, 0.0) if layer.function == "relu" else x
         else:
-            v = x.ravel()
-            if layer.input_permutation is not None:
-                v = v[np.asarray(layer.input_permutation)]
-            x = layer.weights @ v
+            x = layer.weights @ x.ravel()
     return np.asarray(x, dtype=float).ravel()
 
 
@@ -204,10 +201,7 @@ def document_text(path, doc, weights_mode=None, sidecar_path=None):
         elif hasattr(layer, "function"):
             layers.append({"kind": "activation", "function": layer.function})
         else:
-            dense = {"kind": "fully_connected", "units": int(layer.units)}
-            if layer.input_permutation is not None:
-                dense["input_permutation"] = [int(v) for v in layer.input_permutation]
-            layers.append(dense)
+            layers.append({"kind": "fully_connected", "units": int(layer.units)})
     out = {
         "schema_version": 1,
         "network": {

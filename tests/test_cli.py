@@ -75,6 +75,27 @@ def test_transform_divisibility_error_exit3(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_transform_geometry_error_exit3(tmp_path, capsys):
+    # (4 - 3) % 2 != 0: the layer walk itself rejects the conv, with or
+    # without a dense input_permutation that makes the reader walk the network
+    raw = {
+        "schema_version": 1,
+        "network": {"name": "g", "input_shape": [1, 4, 4], "layers": [
+            {"kind": "conv", "channels_out": 2, "kernel": [3, 3], "stride": 2},
+            {"kind": "fully_connected", "units": 3},
+        ]},
+    }
+    p = tmp_path / "g.json"
+    for perm in (None, [0, 1]):
+        if perm is not None:
+            raw["network"]["layers"][1]["input_permutation"] = perm
+        p.write_text(json.dumps(raw))
+        rc = main(["transform", str(p), str(tmp_path / "o.json")])
+        assert rc == 3
+        assert "layer 0" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_transform_missing_input_exit4(tmp_path, capsys):
     rc = main(["transform", str(tmp_path / "nope.json"), str(tmp_path / "o.json")])
     assert rc == 4
@@ -96,12 +117,24 @@ def test_transform_invalid_document_exit2(tmp_path, capsys):
     raw = json.loads((FIXTURES / "lenet.json").read_text())
     raw["weigths"] = {"mode": "inline", "arrays": {}}  # nor at the top level
     bad.append(json.dumps(raw).encode())
+    # no object repeats a key
+    text = (FIXTURES / "lenet.json").read_text()
+    bad.append(text.replace('"stride": 2}', '"stride": 2, "stride": 1}').encode())
+    # a dense input_permutation holds one index in [0, 800) per feature of layer 6
+    for perm in (list(range(799)) + [800], [-1] + list(range(799)), list(range(799))):
+        raw = json.loads((FIXTURES / "lenet.json").read_text())
+        raw["network"]["layers"][6]["input_permutation"] = perm
+        bad.append(json.dumps(raw).encode())
     # a layer-index key is the canonical str(i): "00" and "+0" alias layer 0
     np.full(500, 0.5).tofile(tmp_path / "w.bin")
+    np.full(500 + 1600, 0.5).tofile(tmp_path / "w2.bin")
     for weights in (
         {"mode": "inline", "arrays": {"0": [0.5] * 500, "00": [0.25] * 500}},
         {"mode": "inline", "arrays": {"+0": [0.5] * 500}},
         {"mode": "sidecar", "path": "w.bin", "lengths": {" 0": 500}},
+        # sidecar lengths are counts: these add up to the blob's size, and
+        # slicing with a negative end would give layers 0 and 2 their sizes
+        {"mode": "sidecar", "path": "w2.bin", "lengths": {"0": -1600, "2": 3700}},
     ):
         raw = json.loads((FIXTURES / "lenet.json").read_text())
         raw["weights"] = weights

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from destride import (
     forward,
     infer_shapes,
     init_params,
+    load_document,
     parameter_report,
     transform_network,
     verify_equivalence,
@@ -80,11 +84,6 @@ def test_infer_shapes_checks_weight_shapes():
     )
     with pytest.raises(ValueError, match="weight shape"):
         infer_shapes(bad_fc)
-    bad_perm = NetworkSpec(
-        "x", (1, 2, 2), (FullyConnectedLayer(3, input_permutation=np.arange(5)),)
-    )
-    with pytest.raises(ValueError, match="permutation length"):
-        infer_shapes(bad_perm)
 
 
 def test_layer_validation():
@@ -151,12 +150,20 @@ def test_forward_relu_clamps_all_negative_responses():
     assert np.array_equal(forward(spec, x), np.zeros(4))
 
 
-def test_forward_applies_input_permutation():
-    w = np.array([[1.0, 10.0, 100.0]])
-    perm = (2, 0, 1)  # column j reads flat element perm[j]
-    spec = NetworkSpec(
-        "p", (3, 1, 1), (FullyConnectedLayer(1, weights=w, input_permutation=perm),)
-    )
+def test_forward_applies_input_permutation(tmp_path):
+    # a document's dense layer whose column j reads flat element perm[j]:
+    # the loader folds the permutation into the weight columns
+    layer = {"kind": "fully_connected", "units": 1, "input_permutation": [2, 0, 1]}
+    raw = {
+        "schema_version": 1,
+        "network": {"name": "p", "input_shape": [3, 1, 1], "layers": [layer]},
+        "weights": {"mode": "inline", "arrays": {"0": [1.0, 10.0, 100.0]}},
+    }
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(raw))
+    spec = load_document(p).network
+    assert [f.name for f in fields(FullyConnectedLayer)] == ["units", "weights"]
+    assert np.array_equal(spec.layers[0].weights, [[10.0, 100.0, 1.0]])
     out = forward(spec, np.array([5.0, 7.0, 11.0]).reshape(3, 1, 1))
     assert out[0] == 1.0 * 11.0 + 10.0 * 5.0 + 100.0 * 7.0
 

@@ -43,11 +43,6 @@ def _networks_equal(a: NetworkSpec, b: NetworkSpec) -> bool:
         else:
             if la.units != lb.units:
                 return False
-            pa, pb = la.input_permutation, lb.input_permutation
-            if (pa is None) != (pb is None):
-                return False
-            if pa is not None and not np.array_equal(pa, pb):
-                return False
         wa = getattr(la, "weights", None)
         wb = getattr(lb, "weights", None)
         if (wa is None) != (wb is None):
@@ -246,6 +241,11 @@ def test_load_rejects_bad_layer_values(tmp_path):
         doc([conv], input_shape=(1, 4.9, 4)),
         doc([{**conv, "channels_out": True}]),
         doc([conv, {**dense, "input_permutation": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]}]),
+        # one index per feature the dense layer reads (8), each in [0, 8)
+        doc([conv, {**dense, "input_permutation": None}]),
+        doc([conv, {**dense, "input_permutation": [0, 1, 2, 3, 4]}]),
+        doc([conv, {**dense, "input_permutation": [0, 1, 2, 3, 4, 5, 6, 8]}]),
+        doc([conv, {**dense, "input_permutation": [-1, 0, 1, 2, 3, 4, 5, 6]}]),
         doc([{**conv, "stride": 2.0}]),
         doc([{**dense, "units": True}]),
         doc([conv], transform={"stride": True, "entries": [[1, 1, 1]]}),
@@ -268,11 +268,48 @@ def test_load_rejects_bad_layer_values(tmp_path):
     for key in ("00", "+0", " 0", "0 "):
         cases.append(dict(doc([conv]), weights={"mode": "sidecar", "path": "w.bin",
                                                 "lengths": {key: 8}}))
+    # lengths are counts: -16 and 40 add up to the 24 values the blob holds,
+    # and slicing with a negative end would hand each layer the size it needs
+    np.full(24, 0.5).tofile(tmp_path / "w24.bin")
+    cases.append(dict(doc([conv, dense]), weights={"mode": "sidecar", "path": "w24.bin",
+                                                   "lengths": {"0": -16, "1": 40}}))
+    # no object repeats a key, where json.loads alone keeps the last one
+    text = json.dumps(doc([conv], weights=[0.5] * 8))
+    cases += [
+        text.replace('"arrays": {', '"arrays": {"0": [9, 9, 9, 9, 9, 9, 9, 9], '),
+        text.replace('"stride": 2', '"stride": 2, "stride": 1'),
+        text.replace('"weights": {', '"weights": {"mode": "inline", "arrays": {}}, "weights": {'),
+    ]
     p = tmp_path / "x.json"
     for raw in cases:
-        p.write_text(json.dumps(raw))
+        p.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         with pytest.raises(SpecFormatError):
             load_document(p)
+
+
+def test_input_permutation_is_folded_at_load_and_never_written(tmp_path):
+    # as earlier versions wrote it: column j of the dense weights meets flat
+    # element perm[j] of the 3x3x3 feature map
+    spec = _small_net(seed=7)
+    perm = np.random.default_rng(8).permutation(27)
+    x = np.random.default_rng(9).standard_normal((5, 2, 6, 6))
+    features = forward(replace(spec, layers=spec.layers[:2]), x)
+    want = features[:, perm] @ spec.layers[2].weights.T
+    for mode in ("inline", "sidecar", None):
+        p = tmp_path / f"{mode}.json"
+        save_document(p, SpecDocument(network=spec), weights_mode=mode)
+        raw = json.loads(p.read_text())
+        raw["network"]["layers"][2]["input_permutation"] = perm.tolist()
+        p.write_text(json.dumps(raw))
+        net = load_document(p).network
+        if mode is None:
+            assert net.layers[2].weights is None  # checked, then dropped
+        else:
+            assert np.max(np.abs(forward(net, x) - want)) <= 1e-13 * np.max(np.abs(want))
+        again = tmp_path / f"again-{mode}.json"
+        save_document(again, load_document(p), weights_mode=mode)
+        assert "input_permutation" not in again.read_text()
+        assert _networks_equal(load_document(again).network, net)
 
 
 def test_inline_weights_wrong_length(tmp_path):

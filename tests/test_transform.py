@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     RaggedSamplingError,
+    SpecDocument,
     conv2d,
     destride_layer,
     forward,
@@ -21,6 +23,7 @@ from destride import (
     reshape_input,
     sample_matrix,
     sampled_conv_identity,
+    save_document,
     transform_network,
     verify_equivalence,
 )
@@ -334,20 +337,22 @@ def test_transform_channel_orders_agree():
         transform_network(spec, channel_order="diagonal")
 
 
-def test_transform_absorbs_existing_fc_permutation():
-    # a network whose dense layer already reads its input permuted
+def test_transform_absorbs_existing_fc_permutation(tmp_path):
+    # a document whose dense layer reads its input permuted, as earlier
+    # versions wrote it: column j of the weights meets flat element perm[j]
     r = np.random.default_rng(29)
     feats = 2 * 3 * 3
-    perm = tuple(int(v) for v in r.permutation(feats))
-    spec = init_params(
-        NetworkSpec(
-            "permuted",
-            (1, 6, 6),
-            (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4, input_permutation=perm)),
-        ),
+    perm = r.permutation(feats)
+    plain = init_params(
+        NetworkSpec("permuted", (1, 6, 6), (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4))),
         seed=13,
     )
-    assert spec.layers[1].input_permutation == perm
+    p = tmp_path / "permuted.json"
+    save_document(p, SpecDocument(network=plain), weights_mode="inline")
+    raw = json.loads(p.read_text())
+    raw["network"]["layers"][1]["input_permutation"] = perm.tolist()
+    p.write_text(json.dumps(raw))
+    spec = load_document(p).network
     result = transform_network(spec)
     report = verify_equivalence(spec, result.network, result.input_map,
                                 trials=10, tol=1e-9, seed=5)
