@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .network import (
@@ -40,6 +41,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
     return value
 
 
@@ -182,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformed", help="path of the transformed spec document")
     p.add_argument("--trials", type=_positive_int, default=100,
                    help="number of random inputs (default 100)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="max absolute deviation allowed (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="max absolute deviation allowed, finite and >= 0 "
+                   "(default 1e-9)")
     p.add_argument("--seed", type=int, default=0, help="input generator seed")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON")

@@ -15,7 +15,7 @@ extract_filter are written against that layout.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensors import as_matrix, as_tensor4
 
@@ -53,11 +53,13 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     Computed as im2col (Chellapilla et al. 2006): the weights reshaped to
     (out, in*a*b) times a column matrix (in*a*b, oh*ow) per batch item, whose
     column for each kept output position holds the in*a*b input values under
-    the kernel there, read from a strided window view.  An item's
-    column matrix holds a*b*oh*ow / (h*w) times the values of its feature
-    map, so the batch goes through the product in slices of
-    max(1, N*h*w // (a*b*oh*ow)) items: each slice's column matrix is no
-    larger than the whole input, unless a single item's already is.
+    the kernel there, read from a strided window view.  The column matrix is
+    copied out of the view only when the view is not already one, so a 1x1
+    stride-1 conv multiplies its input in place.  A copied column matrix
+    holds a*b*oh*ow / (h*w) times the values of its feature map, so the batch
+    goes through the product in slices of max(1, N*h*w // (a*b*oh*ow))
+    items: each slice's column matrix is no larger than the whole input,
+    unless a single item's already is.
     """
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(feature_map, dtype=np.float64)
@@ -69,8 +71,8 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
             f"col), got rank {x.ndim}"
         )
     single = x.ndim == 3
-    if single:
-        x = x[None]
+    # the window view below is laid over x's buffer, which must be C-ordered
+    x = np.ascontiguousarray(x[None] if single else x)
     n, c, h, wd = x.shape
     out_c, _, a, b = w.shape
     if w.shape[1] != c:
@@ -80,24 +82,31 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     if a > h or b > wd:
         raise ValueError(f"filter {w.shape[2:]} larger than image {(h, wd)}")
     oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
-    # (N, c, a, b, oh, ow), a read-only view that stays inside x because
-    # (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd; each slice
-    # of it is copied into cols
+    # (N, c, a, b, oh, ow), a read-only view of x's buffer; numpy checks that
+    # it stays inside, which holds as (oh - 1) * stride + a <= h and
+    # (ow - 1) * stride + b <= wd
     sn, sc, sh, sw = x.strides
-    windows = as_strided(
-        x,
-        shape=(n, c, a, b, oh, ow),
+    windows = np.ndarray(
+        (n, c, a, b, oh, ow),
+        np.float64,
+        buffer=x,
+        offset=0,
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
     )
+    windows.flags.writeable = False
     kernel = w.reshape(out_c, c * a * b)
     out = np.empty((n, out_c, oh * ow))
     step = min(n, max(1, n * h * wd // (a * b * oh * ow)))
-    cols = np.empty((step,) + windows.shape[1:])
     for i in range(0, n, step):
         m = min(step, n - i)
-        cols[:m] = windows[i : i + m]
-        np.matmul(kernel, cols[:m].reshape(m, c * a * b, oh * ow), out=out[i : i + m])
+        # a copy unless the slice already is a C-ordered column matrix (a
+        # bare reshape could give an overlapping view that BLAS cannot take);
+        # a temporary, so one slice's copy is freed before the next is made
+        np.matmul(
+            kernel,
+            np.ascontiguousarray(windows[i : i + m]).reshape(m, c * a * b, oh * ow),
+            out=out[i : i + m],
+        )
     out = out.reshape(n, out_c, oh, ow)
     return out[0] if single else out
 

@@ -291,6 +291,9 @@ def verify_equivalence(
 
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    # a NaN, negative or infinite tolerance would fix the verdict in advance
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and at least 0, got {tol}")
     # one draw of all trials gives the same inputs as one draw per trial
     x = np.random.default_rng(seed).standard_normal((trials,) + original.input_shape)
     y_orig = forward(original, x)

@@ -53,10 +53,11 @@ document's list is checked, then dropped.
 Every integer field (channels_out, kernel, stride, units, input_shape,
 input_permutation, the input map's stride and entries, sidecar lengths) must
 be a JSON integer: floats and booleans are rejected, not coerced, and
-sidecar lengths must not be negative.  The document, its network and each
-layer may carry only the keys shown above (a layer only those of its kind),
-no object may repeat a key, "provenance" must be a string, and inline
-weight arrays must be flat lists of JSON numbers.
+sidecar lengths must not be negative.  A sidecar must hold exactly 8 bytes
+per value the lengths declare, with no trailing bytes.  The document, its
+network and each layer may carry only the keys shown above (a layer only
+those of its kind), no object may repeat a key, "provenance" must be a
+string, and inline weight arrays must be flat lists of JSON numbers.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
         for idx, n in counts.items():
             if n < 0:
                 raise SpecFormatError(f"weights: layer {idx} has negative length {n}")
-        blob = np.fromfile(doc_dir / rel, dtype="<f8")
-        if blob.size != sum(counts.values()):
+        path = doc_dir / rel
+        blob = np.fromfile(path, dtype="<f8")
+        # fromfile drops a partial last value, so the byte size is what counts
+        nbytes, total = path.stat().st_size, sum(counts.values())
+        if nbytes != 8 * total:
             raise SpecFormatError(
-                f"weights: sidecar holds {blob.size} values, lengths declare "
-                f"{sum(counts.values())}"
+                f"weights: sidecar holds {nbytes} bytes, lengths declare {total} "
+                f"values ({8 * total} bytes)"
             )
         pos = 0
         for idx in sorted(counts):

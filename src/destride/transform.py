@@ -82,6 +82,9 @@ class ChannelMap:
     entries[i] = (source_channel k, row_offset p, col_offset q), all 1-based:
     new channel i holds the (p, q, stride) grid sample of source channel k.
     The entries must enumerate every (k, p, q) combination exactly once.
+    The 0-based gather index reshape_input reads is built here, once per
+    map; it is private and not a field, so ==, hash and repr see only
+    stride and entries.
     """
 
     stride: int
@@ -102,13 +105,18 @@ class ChannelMap:
         }
         if len(self.entries) != len(want) or set(self.entries) != want:
             raise ValueError("entries must cover every (channel, p, q) exactly once")
+        # rows k, p, q of the 0-based entries
+        kpq = (np.array(self.entries) - 1).T
+        kpq.flags.writeable = False
+        object.__setattr__(self, "_kpq", kpq)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def source_channels(self) -> int:
-        return max(k for k, _, _ in self.entries)
+        # the entries hold stride**2 grids per source channel
+        return len(self.entries) // self.stride**2
 
 
 class TransformResult(NamedTuple):
@@ -275,7 +283,8 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
 def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
     """Rearrange a raw input (c, h, w), or a batch (N, c, h, w), into the
     transformed network's channel layout (space-to-depth): output channel i
-    is the grid sample named by input_map.entries[i]."""
+    is the grid sample named by input_map.entries[i].  The result is a new
+    C-contiguous array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ValueError(
@@ -290,6 +299,8 @@ def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
         raise ValueError(f"input dims {h}x{w} not divisible by map stride {s}")
     # grids[:, k, p, q] is the (p, q, s) grid sample of channel k, 0-based
     grids = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
-    k, p, q = (np.array(input_map.entries) - 1).T
-    out = grids[:, k, p, q]
+    k, p, q = input_map._kpq
+    # indexing the batch axis too puts the gathered axes first, so the
+    # result comes out C-ordered, as conv_multichannel takes it
+    out = grids[np.arange(n)[:, None], k, p, q]
     return out if x.ndim == 4 else out[0]

@@ -200,6 +200,20 @@ def test_verify_trials_zero_is_usage_error(pair, capsys):
     assert "positive integer" in err
 
 
+def test_verify_tol_must_be_finite_and_nonnegative(pair, capsys):
+    # any of these would fix the verdict whatever the networks compute
+    args = ["verify", str(pair / "orig.json"), str(pair / "trans.json"), "--trials", "3"]
+    for tol in ("nan", "-1", "inf", "-inf", "1e400", "x"):
+        rc = main(args + [f"--tol={tol}"])
+        err = capsys.readouterr().err
+        assert rc == 2, tol
+        assert "--tol" in err
+    rc = main(args + ["--tol", "0", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["tolerance"] == 0.0
+    assert rc == (0 if report["passed"] else 1)
+
+
 def test_verify_rejects_weightless_documents(tmp_path, capsys):
     trans = tmp_path / "t.json"
     assert main(["transform", str(FIXTURES / "lenet.json"), str(trans)]) == 0

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from destride import (
     build_conv_tensor,
@@ -284,6 +285,68 @@ def test_conv_multichannel_column_matrix_stays_within_input():
     finally:
         tracemalloc.stop()
     assert peak <= x.nbytes + y.nbytes
+    assert np.abs(y - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def test_conv_multichannel_takes_any_layout_and_dtype():
+    # the window view needs a C-ordered buffer; every other input is copied
+    # into one first, and gives the same bits as a C-ordered float64 copy
+    r = np.random.default_rng(23)
+    w = r.standard_normal((3, 2, 3, 2))
+    x = r.standard_normal((4, 2, 9, 8))
+    readonly = x.copy()
+    readonly.flags.writeable = False
+    cases = [
+        np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2),
+        x[..., ::-1],
+        x[:, :, ::2],
+        readonly,
+        np.rint(10 * x).astype(np.int64),
+    ]
+    assert not any(c.flags.c_contiguous for c in cases[:3])
+    for xin in cases:
+        for s in (1, 2):
+            got = conv_multichannel(w, xin, stride=s)
+            assert np.array_equal(got, conv_multichannel(w, np.array(xin, dtype=np.float64), s))
+            assert np.array_equal(got[1], conv_multichannel(w, xin[1], stride=s))
+            want = np.stack([multichannel_forward(w, item, s) for item in xin])
+            assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def test_conv_multichannel_is_one_blas_product_per_item():
+    # bit for bit the weights times a C-ordered im2col matrix.  With one
+    # input channel, a bare reshape of the window view of a 5x1 or 1x2
+    # kernel at stride 1 is an overlapping view, which numpy multiplies in
+    # its own loop; with one output channel that loop sums in another order
+    r = np.random.default_rng(25)
+    for o, c, (a, b), s in ((1, 1, (5, 1), 1), (1, 1, (1, 2), 1), (3, 1, (5, 1), 1),
+                            (1, 4, (5, 1), 1), (3, 4, (3, 3), 2), (3, 4, (1, 1), 1),
+                            (2, 2, (2, 3), 3)):
+        w = r.standard_normal((o, c, a, b))
+        x = r.standard_normal((6, c, 16, 16))
+        y = conv_multichannel(w, x, stride=s)
+        windows = sliding_window_view(x, (a, b), axis=(2, 3))[:, :, ::s, ::s]
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+        plain = w.reshape(o, -1) @ cols.reshape(6, c * a * b, -1)
+        assert np.array_equal(y, plain.reshape(y.shape)), (o, c, a, b, s)
+
+
+def test_conv_multichannel_1x1_stride_1_copies_nothing():
+    # the window view of a 1x1 stride-1 conv already is the column matrix,
+    # so the input is multiplied where it lies; a copy would be 1.5 MB
+    r = np.random.default_rng(24)
+    w = r.standard_normal((4, 64, 1, 1))
+    x = r.standard_normal((20, 64, 12, 12))
+    tracemalloc.start()
+    try:
+        y = conv_multichannel(w, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + x.nbytes // 2
+    plain = np.matmul(w.reshape(4, 64), x.reshape(20, 64, 144)).reshape(y.shape)
+    assert np.array_equal(y, plain)
+    want = np.stack([einsum_conv(w, item, 1) for item in x])
     assert np.abs(y - want).max() <= REL_TOL * np.abs(want).max()
 
 

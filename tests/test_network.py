@@ -308,6 +308,19 @@ def test_verify_equivalence_rejects_bad_trials():
         verify_equivalence(spec, result.network, result.input_map, trials=0)
 
 
+def test_verify_equivalence_rejects_bad_tolerance():
+    spec = init_params(
+        NetworkSpec("v", (1, 4, 4), (ConvLayer(1, (2, 2), 2), FullyConnectedLayer(2))),
+        seed=2,
+    )
+    result = transform_network(spec)
+    for tol in (float("nan"), -1.0, float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_equivalence(spec, result.network, result.input_map, trials=2, tol=tol)
+    report = verify_equivalence(spec, result.network, result.input_map, trials=2, tol=0.0)
+    assert report.tolerance == 0.0
+
+
 def test_equivalence_report_from_deviations():
     rep = EquivalenceReport.from_deviations([1e-12, 5e-10, 2e-11], 1e-9)
     assert rep.trials == 3

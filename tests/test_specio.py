@@ -338,10 +338,17 @@ def test_sidecar_length_mismatch(tmp_path):
     spec = _small_net(seed=7)
     p = tmp_path / "a.json"
     save_document(p, SpecDocument(network=spec), weights_mode="sidecar")
-    blob = np.fromfile(tmp_path / "a.weights.bin", dtype="<f8")
-    blob[:-3].tofile(tmp_path / "a.weights.bin")  # truncate
-    with pytest.raises(SpecFormatError, match="sidecar holds"):
-        load_document(p)
+    side = tmp_path / "a.weights.bin"
+    good = side.read_bytes()
+    # three values short, one value over, and 1-7 trailing bytes, which
+    # np.fromfile would drop as a partial last value
+    cases = [good[:-24], good + good[:8]] + [good + b"\xff" * k for k in range(1, 8)]
+    for data in cases:
+        side.write_bytes(data)
+        with pytest.raises(SpecFormatError, match="sidecar holds"):
+            load_document(p)
+    side.write_bytes(good)
+    assert _networks_equal(spec, load_document(p).network)
 
 
 def test_sidecar_missing_file(tmp_path):

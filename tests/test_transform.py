@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -292,10 +293,27 @@ def test_reshape_input_batch_equals_stacked_single_calls():
         cm = ChannelMap(3, _entries(2, 3, order))
         got = reshape_input(x, cm)
         assert got.shape == (5, 18, 2, 3)
+        # C-ordered, so conv_multichannel takes the batch without a copy
+        assert got.flags.c_contiguous
         assert np.array_equal(got, np.stack([reshape_input(item, cm) for item in x]))
         assert np.array_equal(got[4], space_to_depth(x[4], cm.entries, 3))
     with pytest.raises(ValueError, match="rank"):
         reshape_input(x[None], cm)
+
+
+def test_channel_map_gather_index_is_private_and_read_only():
+    a, b = (ChannelMap(3, _entries(2, 3, "grid-major")) for _ in range(2))
+    reshape_input(np.ones((2, 6, 9)), a)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != ChannelMap(3, _entries(2, 3, "source-major"))
+    assert [f.name for f in fields(ChannelMap)] == ["stride", "entries"]
+    cached = {k: v for k, v in vars(a).items() if k not in ("stride", "entries")}
+    assert cached and all(k.startswith("_") for k in cached)
+    arrays = [v for v in cached.values() if isinstance(v, np.ndarray)]
+    assert arrays
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
 
 
 def test_transform_equivalence_small_nets():
