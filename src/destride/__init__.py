@@ -48,7 +48,6 @@ from .specio import (
 )
 from .tensors import tensor_product
 from .transform import (
-    CHANNEL_ORDERS,
     ChannelMap,
     TransformResult,
     destride_layer,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationLayer",
-    "CHANNEL_ORDERS",
     "ChannelMap",
     "ConvLayer",
     "EquivalenceReport",

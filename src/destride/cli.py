@@ -44,6 +44,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="max absolute deviation allowed, finite and >= 0 "
                    "(default 1e-9)")
-    p.add_argument("--seed", type=int, default=0, help="input generator seed")
+    p.add_argument("--seed", type=_seed, default=0, help="input generator seed")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON")
     p.set_defaults(func=cmd_verify)
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("selftest", help="run the seeded property suite")
-    p.add_argument("--seed", type=int, default=0, help="suite seed")
+    p.add_argument("--seed", type=_seed, default=0, help="suite seed")
     p.add_argument("--property", action="append", choices=PROPERTY_NAMES,
                    metavar="NAME",
                    help="run only the named property (repeatable); one of: "

@@ -96,7 +96,8 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     windows.flags.writeable = False
     kernel = w.reshape(out_c, c * a * b)
     out = np.empty((n, out_c, oh * ow))
-    step = min(n, max(1, n * h * wd // (a * b * oh * ow)))
+    # at least 1, so that an empty batch makes no slice and comes out empty
+    step = max(1, min(n, n * h * wd // (a * b * oh * ow)))
     for i in range(0, n, step):
         m = min(step, n - i)
         # a copy unless the slice already is a C-ordered column matrix (a

@@ -9,6 +9,7 @@ transformed, and serialized; evaluation requires them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,7 +159,8 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
         elif isinstance(layer, FullyConnectedLayer):
             if layer.weights is None:
                 raise ValueError(f"layer {i}: fully connected layer has no weights")
-            v = x.reshape(len(x), -1)
+            # reshape cannot infer a -1 width from an empty batch
+            v = x.reshape(len(x), math.prod(x.shape[1:]))
             if layer.weights.shape[1] != v.shape[1]:
                 raise ValueError(
                     f"layer {i}: weight columns {layer.weights.shape[1]} != "
@@ -167,7 +169,7 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
             x = v @ layer.weights.T
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
-    y = x.reshape(len(x), -1)
+    y = x.reshape(len(x), math.prod(x.shape[1:]))
     return y[0] if single else y
 
 

@@ -17,7 +17,7 @@ from .convolution import build_conv_tensor, conv2d, conv2d_strided, extract_filt
 from .network import ActivationLayer, ConvLayer, FullyConnectedLayer, NetworkSpec, init_params, verify_equivalence
 from .sampling import SamplingSpec, compose_sampling, partition_cover_check, sample_matrix, sample_tensor, zero_pad
 from .tensors import tensor_product
-from .transform import CHANNEL_ORDERS, destride_layer, sampled_conv_identity, transform_network
+from .transform import destride_layer, sampled_conv_identity, transform_network
 
 
 @dataclass(frozen=True)
@@ -188,16 +188,12 @@ def _network_destride(rng) -> str:
             NetworkSpec(f"selftest-{trial}", (chans[0], dims[0][0], dims[1][0]), tuple(layers)),
             seed=int(rng.integers(0, 2**31)),
         )
-        for order in CHANNEL_ORDERS:
-            result = transform_network(spec, order)
-            report = verify_equivalence(spec, result.network, result.input_map,
-                                        trials=20, tol=1e-9, seed=trial)
-            assert report.passed, f"{spec.name} {order}: deviation {report.max_abs_dev:.2e}"
-            worst = max(worst, report.max_abs_dev)
-    return (
-        f"{nets} random networks equivalent under both channel orders, "
-        f"worst deviation {worst:.2e}"
-    )
+        result = transform_network(spec)
+        report = verify_equivalence(spec, result.network, result.input_map,
+                                    trials=20, tol=1e-9, seed=trial)
+        assert report.passed, f"{spec.name}: deviation {report.max_abs_dev:.2e}"
+        worst = max(worst, report.max_abs_dev)
+    return f"{nets} random networks equivalent, worst deviation {worst:.2e}"
 
 
 _PROPERTIES = (

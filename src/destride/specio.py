@@ -19,13 +19,14 @@ A document is a JSON object:
 
 Weights are either inline ({"mode": "inline", "arrays": {"<layer index>":
 [flat floats...]}}) or a sidecar reference ({"mode": "sidecar", "path":
-"relative/file.bin", "lengths": {"<layer index>": count}}).  The sidecar is
-raw little-endian float64, layers concatenated in index order.  Inline
-decimal values round-trip bit-exactly (shortest-repr floats); sidecars are
-the raw bytes, so both modes reload to identical arrays.  A layer-index key
-is the canonical decimal str(i) of a parameterized layer, in "arrays" and
-in "lengths" alike: "00", "+0" or " 0" is rejected, so no two keys can name
-one layer.
+"relative/file.bin", "lengths": {"<layer index>": count}}), the path
+relative to the document's directory.  The sidecar is raw little-endian
+float64, layers concatenated in index order.  Inline decimal values
+round-trip bit-exactly (shortest-repr floats); sidecars are the raw bytes,
+so both modes reload to identical arrays.  A layer-index key is the
+canonical decimal str(i) of a parameterized layer, in "arrays" and in
+"lengths" alike: "00", "+0" or " 0" is rejected, so no two keys can name one
+layer.
 
 The written layout is part of the format, and the writer keeps it byte for
 byte: the text json.dumps(document, indent=1) gives, plus a final newline.
@@ -37,6 +38,9 @@ as Python's json module reads and writes them.
 
 The transform block links a transformed document to its source:
 {"source": name, "input_map": {"stride": s, "entries": [[k, p, q], ...]}}.
+The rewrite writes the entries in source-major order (channel_entries), but
+any complete enumeration of the (k, p, q) triples is read, since the
+transformed network's first conv can read its input channels in any order.
 Documents written by earlier versions also carry "flatten_permutation":
 [0-based indices]; it is still read, and must be the identity, since the
 rewrite never reorders the flattened features.
@@ -63,6 +67,7 @@ string, and inline weight arrays must be flat lists of JSON numbers.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -343,7 +348,8 @@ def load_document(path) -> SpecDocument:
 def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None) -> None:
     """Write a document; weights_mode None stores no weights, "inline" embeds
     them as decimal arrays, "sidecar" writes <document>.weights.bin next to
-    the JSON (or sidecar_path) and references it relatively."""
+    the JSON (or sidecar_path) and references it by its path relative to the
+    document's directory, which is where the reader looks it up."""
     path = Path(path)
     network = doc.network
     out = {
@@ -374,7 +380,7 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             blob.tofile(sidecar)
             out["weights"] = {
                 "mode": "sidecar",
-                "path": sidecar.name if sidecar.parent == path.parent else str(sidecar),
+                "path": os.path.relpath(sidecar, path.parent),
                 "lengths": {str(i): int(carrying[i].size) for i in sorted(carrying)},
             }
         else:

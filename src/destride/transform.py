@@ -48,31 +48,20 @@ from .network import ConvLayer, NetworkSpec, _walk, infer_shapes
 from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
 from .tensors import as_matrix
 
-CHANNEL_ORDERS = ("source-major", "grid-major")
-
-
-def channel_entries(channels: int, stride: int, order: str = "source-major") -> tuple:
-    """Enumerate the (source_channel, row_offset, col_offset) triples that
-    name the channels of a multiplicity-`stride` representation.
-
-    source-major keeps all grids of one source channel contiguous; grid-major
-    is the alternate order used to show the enumeration is a free choice.
+def channel_entries(channels: int, stride: int) -> tuple:
+    """Enumerate the (source_channel, row_offset, col_offset) triples, all
+    1-based, that name the channels of a multiplicity-`stride`
+    representation, in the one layout the rewrite writes: source-major, all
+    grids of one source channel contiguous, which is the channel order of
+    pixel unshuffle.  Any other complete enumeration renames channels
+    consistently and gives an equivalent network; documents may hold one.
     """
-    if order == "source-major":
-        return tuple(
-            (k, p, q)
-            for k in range(1, channels + 1)
-            for p in range(1, stride + 1)
-            for q in range(1, stride + 1)
-        )
-    if order == "grid-major":
-        return tuple(
-            (k, p, q)
-            for p in range(1, stride + 1)
-            for q in range(1, stride + 1)
-            for k in range(1, channels + 1)
-        )
-    raise ValueError(f"unknown channel order {order!r}, expected one of {CHANNEL_ORDERS}")
+    return tuple(
+        (k, p, q)
+        for k in range(1, channels + 1)
+        for p in range(1, stride + 1)
+        for q in range(1, stride + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -96,14 +85,9 @@ class ChannelMap:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
         if not self.entries:
             raise ValueError("channel map needs at least one entry")
-        channels = max(k for k, _, _ in self.entries)
-        want = {
-            (k, p, q)
-            for k in range(1, channels + 1)
-            for p in range(1, self.stride + 1)
-            for q in range(1, self.stride + 1)
-        }
-        if len(self.entries) != len(want) or set(self.entries) != want:
+        channels, rest = divmod(len(self.entries), self.stride**2)
+        # the sorted entries of a complete cover are the source-major ones
+        if rest or sorted(self.entries) != list(channel_entries(channels, self.stride)):
             raise ValueError("entries must cover every (channel, p, q) exactly once")
         # rows k, p, q of the 0-based entries
         kpq = (np.array(self.entries) - 1).T
@@ -197,7 +181,7 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
     return lhs, rhs
 
 
-def _conv_sources(cin, layer: ConvLayer, sig_in, piece, order):
+def _conv_sources(cin, layer: ConvLayer, sig_in, piece):
     """Integer source map for one transformed conv layer.
 
     Shape (new_out, new_in) + piece; entry = flat index into the original
@@ -205,8 +189,8 @@ def _conv_sources(cin, layer: ConvLayer, sig_in, piece, order):
     """
     kh, kw = layer.kernel
     s = layer.stride
-    out_ix = np.array(channel_entries(layer.channels_out, sig_in // s, order)) - 1
-    in_ix = np.array(channel_entries(cin, sig_in, order)) - 1
+    out_ix = np.array(channel_entries(layer.channels_out, sig_in // s)) - 1
+    in_ix = np.array(channel_entries(cin, sig_in)) - 1
     # 0-based (c, m, n) and (k, p, q), shaped to broadcast over (out, in, r, t)
     c, m, n = out_ix.T[:, :, None, None, None]
     k, p, q = in_ix.T[:, None, :, None, None]
@@ -217,7 +201,7 @@ def _conv_sources(cin, layer: ConvLayer, sig_in, piece, order):
     return sources
 
 
-def transform_network(spec: NetworkSpec, channel_order: str = "source-major") -> TransformResult:
+def transform_network(spec: NetworkSpec) -> TransformResult:
     """Rewrite a network so every convolution has stride 1.
 
     Returns the transformed network, the channel map describing how raw
@@ -232,8 +216,6 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
     that layer's cumulative stride and every (dim - kernel) divisible by the
     layer stride; violations raise RaggedSamplingError naming the layer.
     """
-    if channel_order not in CHANNEL_ORDERS:
-        raise ValueError(f"unknown channel order {channel_order!r}, expected one of {CHANNEL_ORDERS}")
     plan = list(_walk(spec))
     total = math.prod(l.stride for l in spec.layers if isinstance(l, ConvLayer))
 
@@ -251,7 +233,7 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
             )
         sig_out = sig_in // layer.stride
         piece = (h // sig_in - h_out // sig_out + 1, w // sig_in - w_out // sig_out + 1)
-        src = _conv_sources(cin, layer, sig_in, piece, channel_order)
+        src = _conv_sources(cin, layer, sig_in, piece)
         weights = None
         if layer.weights is not None:
             flat = layer.weights.reshape(-1)
@@ -268,7 +250,7 @@ def transform_network(spec: NetworkSpec, channel_order: str = "source-major") ->
     # the first conv reads the network input, so the check above has
     # already made sure the input divides by the total stride
     c0, h0, w0 = spec.input_shape
-    input_map = ChannelMap(total, channel_entries(c0, total, channel_order))
+    input_map = ChannelMap(total, channel_entries(c0, total))
     transformed = NetworkSpec(
         name=f"{spec.name}-destrided",
         input_shape=(c0 * total * total, h0 // total, w0 // total),

@@ -13,6 +13,7 @@ once was, the reference for the spliced writer's bytes.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,7 @@ def document_text(path, doc, weights_mode=None, sidecar_path=None):
         sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
         out["weights"] = {
             "mode": "sidecar",
-            "path": sidecar.name if sidecar.parent == path.parent else str(sidecar),
+            "path": os.path.relpath(sidecar, path.parent),
             "lengths": {str(i): int(carrying[i].size) for i in sorted(carrying)},
         }
     if doc.transform is not None:

@@ -1,11 +1,13 @@
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from destride import (
+    ChannelMap,
     ConvLayer,
     FullyConnectedLayer,
     NetworkSpec,
@@ -198,6 +200,44 @@ def test_verify_trials_zero_is_usage_error(pair, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "positive integer" in err
+
+
+def test_seed_must_be_nonnegative(pair, capsys):
+    verify = ["verify", str(pair / "orig.json"), str(pair / "trans.json"), "--trials", "2"]
+    selftest = ["selftest", "--property", "grid-partition"]
+    for args in (verify, selftest):
+        assert main(args + ["--seed", "-1"]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+        assert main(args + ["--seed", "0"]) == 0
+        capsys.readouterr()
+
+
+def _with_input_map(pair, tmp_path, perm, permute_weights):
+    # the transformed pair with its input-map entries reordered by perm, and
+    # the first conv's input channels with them when permute_weights is set
+    tdoc = load_document(pair / "trans.json")
+    imap = tdoc.transform.input_map
+    conv, *rest = tdoc.network.layers
+    if permute_weights:
+        conv = replace(conv, weights=conv.weights[:, perm])
+    doc = SpecDocument(
+        network=replace(tdoc.network, layers=(conv, *rest)),
+        transform=replace(tdoc.transform,
+                          input_map=ChannelMap(imap.stride, [imap.entries[i] for i in perm])),
+    )
+    p = tmp_path / "trans.json"
+    save_document(p, doc, weights_mode="sidecar")
+    return p
+
+
+def test_verify_accepts_any_consistent_input_map_order(pair, tmp_path, capsys):
+    # the rewrite writes one channel layout, but a document may hold any
+    # complete enumeration as long as the first conv reads it the same way
+    perm = np.random.default_rng(33).permutation(8)
+    for permute_weights, code, verdict in ((True, 0, "PASS"), (False, 1, "FAIL")):
+        p = _with_input_map(pair, tmp_path, perm, permute_weights)
+        assert main(["verify", str(pair / "orig.json"), str(p), "--trials", "5"]) == code
+        assert verdict in capsys.readouterr().out
 
 
 def test_verify_tol_must_be_finite_and_nonnegative(pair, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from destride import (
-    CHANNEL_ORDERS,
     ActivationLayer,
     ConvLayer,
     FullyConnectedLayer,
@@ -98,6 +97,21 @@ def test_round_trip_sidecar_weights_bit_identical(tmp_path):
     doc = load_document(tmp_path / "a.json")
     assert doc.weights_mode == "sidecar"
     assert _networks_equal(spec, doc.network)
+
+
+def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatch):
+    # sidecar_path is relative to the working directory, the document's
+    # "path" to the document's directory
+    monkeypatch.chdir(tmp_path)
+    spec = _small_net(seed=2)
+    (tmp_path / "docs" / "sub").mkdir(parents=True)
+    (tmp_path / "other").mkdir()
+    for sidecar, recorded in (("other/w.bin", "../other/w.bin"), ("docs/sub/w.bin", "sub/w.bin")):
+        save_document("docs/a.json", SpecDocument(network=spec), weights_mode="sidecar",
+                      sidecar_path=sidecar)
+        assert json.loads(Path("docs/a.json").read_text())["weights"]["path"] == recorded
+        # weights compared by np.array_equal
+        assert _networks_equal(spec, load_document("docs/a.json").network)
 
 
 def test_sidecar_is_little_endian_float64(tmp_path):
@@ -384,9 +398,8 @@ def lenet():
     return init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
 
 
-@pytest.mark.parametrize("order", CHANNEL_ORDERS)
-def test_saved_bytes_equal_single_dumps_on_transformed_lenet(tmp_path, lenet, order):
-    result = transform_network(lenet, channel_order=order)
+def test_saved_bytes_equal_single_dumps_on_transformed_lenet(tmp_path, lenet):
+    result = transform_network(lenet)
     doc = SpecDocument(
         network=result.network,
         transform=TransformMetadata(source=lenet.name, input_map=result.input_map),

@@ -1,13 +1,12 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from destride import (
-    CHANNEL_ORDERS,
     ActivationLayer,
     ChannelMap,
     ConvLayer,
@@ -16,6 +15,7 @@ from destride import (
     RaggedSamplingError,
     SpecDocument,
     conv2d,
+    conv_multichannel,
     destride_layer,
     forward,
     infer_shapes,
@@ -164,6 +164,14 @@ def test_channel_map_validates_bijection():
     with pytest.raises(ValueError):
         ChannelMap(2, ((1, 1, 1),))  # incomplete cover
     with pytest.raises(ValueError):
+        ChannelMap(2, ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 2, 2)))  # channel 2 partial
+    with pytest.raises(ValueError):
+        ChannelMap(2, ((0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)))  # 0-based
+    with pytest.raises(ValueError):
+        ChannelMap(2, _entries(2, 2) + [(3, 1, 1)])  # not a multiple of 4
+    # any order of a complete cover is a valid map
+    ChannelMap(2, _entries(2, 2)[::-1])
+    with pytest.raises(ValueError):
         ChannelMap(0, ((1, 1, 1),))
 
 
@@ -289,23 +297,23 @@ def test_reshape_input_validations():
 def test_reshape_input_batch_equals_stacked_single_calls():
     r = np.random.default_rng(32)
     x = r.standard_normal((5, 2, 6, 9))
-    for order in CHANNEL_ORDERS:
-        cm = ChannelMap(3, _entries(2, 3, order))
-        got = reshape_input(x, cm)
-        assert got.shape == (5, 18, 2, 3)
-        # C-ordered, so conv_multichannel takes the batch without a copy
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, np.stack([reshape_input(item, cm) for item in x]))
-        assert np.array_equal(got[4], space_to_depth(x[4], cm.entries, 3))
+    # a document may hold any complete enumeration, so the map is shuffled
+    cm = ChannelMap(3, [_entries(2, 3)[i] for i in r.permutation(18)])
+    got = reshape_input(x, cm)
+    assert got.shape == (5, 18, 2, 3)
+    # C-ordered, so conv_multichannel takes the batch without a copy
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, np.stack([reshape_input(item, cm) for item in x]))
+    assert np.array_equal(got[4], space_to_depth(x[4], cm.entries, 3))
     with pytest.raises(ValueError, match="rank"):
         reshape_input(x[None], cm)
 
 
 def test_channel_map_gather_index_is_private_and_read_only():
-    a, b = (ChannelMap(3, _entries(2, 3, "grid-major")) for _ in range(2))
+    a, b = (ChannelMap(3, _entries(2, 3)[::-1]) for _ in range(2))
     reshape_input(np.ones((2, 6, 9)), a)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert a != ChannelMap(3, _entries(2, 3, "source-major"))
+    assert a != ChannelMap(3, _entries(2, 3))
     assert [f.name for f in fields(ChannelMap)] == ["stride", "entries"]
     cached = {k: v for k, v in vars(a).items() if k not in ("stride", "entries")}
     assert cached and all(k.startswith("_") for k in cached)
@@ -336,23 +344,6 @@ def test_transform_equivalence_small_nets():
         assert all(
             l.stride == 1 for l in result.network.layers if isinstance(l, ConvLayer)
         )
-
-
-def test_transform_channel_orders_agree():
-    spec = init_params(
-        NetworkSpec("o", (2, 8, 8), (ConvLayer(3, (2, 2), 2), ActivationLayer("relu"),
-                                     ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4))),
-        seed=11,
-    )
-    r = np.random.default_rng(28)
-    x = r.standard_normal((2, 8, 8))
-    y = forward(spec, x)
-    for order in ("source-major", "grid-major"):
-        result = transform_network(spec, channel_order=order)
-        yt = forward(result.network, reshape_input(x, result.input_map))
-        assert np.max(np.abs(y - yt)) <= 1e-9
-    with pytest.raises(ValueError):
-        transform_network(spec, channel_order="diagonal")
 
 
 def test_transform_absorbs_existing_fc_permutation(tmp_path):
@@ -431,20 +422,17 @@ def test_sharing_trace_replication_counts():
     assert counts == {0: 16, 2: 4, 3: 4, 5: 1}
 
 
-def _entries(channels, sigma, order):
-    # (k, p, q), 1-based, in the order each channel layout enumerates them
-    triples = [
+def _entries(channels, sigma):
+    # (k, p, q), 1-based, in the source-major order the rewrite writes
+    return [
         (k, p, q)
         for k in range(1, channels + 1)
         for p in range(1, sigma + 1)
         for q in range(1, sigma + 1)
     ]
-    if order == "grid-major":
-        triples.sort(key=lambda e: (e[1], e[2], e[0]))
-    return triples
 
 
-def _assert_sources_match_oracle(spec, sources, order):
+def _assert_sources_match_oracle(spec, sources):
     # channel counts and multiplicities tracked here, not read from the rewrite
     convs = [(i, l) for i, l in enumerate(spec.layers) if isinstance(l, ConvLayer)]
     sigma = math.prod(l.stride for _, l in convs)
@@ -453,11 +441,11 @@ def _assert_sources_match_oracle(spec, sources, order):
     for i, layer in convs:
         want = source_map(
             cin, layer.kernel, layer.stride, sigma,
-            _entries(layer.channels_out, sigma // layer.stride, order),
-            _entries(cin, sigma, order),
+            _entries(layer.channels_out, sigma // layer.stride),
+            _entries(cin, sigma),
         )
         assert sources[i].dtype == np.int64
-        assert np.array_equal(sources[i], want), (i, order)
+        assert np.array_equal(sources[i], want), i
         cin, sigma = layer.channels_out, sigma // layer.stride
 
 
@@ -493,30 +481,28 @@ def _random_net(seed):
 
 def test_sources_match_oracle_on_lenet_fixture():
     spec = load_document(FIXTURES / "lenet.json").network
-    for order in CHANNEL_ORDERS:
-        _assert_sources_match_oracle(spec, transform_network(spec, order).sources, order)
+    _assert_sources_match_oracle(spec, transform_network(spec).sources)
 
 
 def _assert_batched_forward_agrees(spec, seed, batch=4):
     """Batched forward of the network and of each rewrite agrees with forward
     on each input alone and with the one-input einsum oracle."""
     x = np.random.default_rng(seed).standard_normal((batch,) + spec.input_shape)
-    for order in CHANNEL_ORDERS:
-        result = transform_network(spec, order)
-        m = result.input_map
-        pairs = [
-            (spec, x, x),
-            (result.network, reshape_input(x, m),
-             np.stack([space_to_depth(item, m.entries, m.stride) for item in x])),
-        ]
-        for net, inputs, oracle_inputs in pairs:
-            got = forward(net, inputs)
-            singles = np.stack([forward(net, item) for item in inputs])
-            want = np.stack([einsum_forward(net, item) for item in oracle_inputs])
-            assert got.shape == want.shape
-            bound = REL_TOL * np.abs(want).max()
-            assert np.abs(got - singles).max() <= bound, (net.name, order)
-            assert np.abs(got - want).max() <= bound, (net.name, order)
+    result = transform_network(spec)
+    m = result.input_map
+    pairs = [
+        (spec, x, x),
+        (result.network, reshape_input(x, m),
+         np.stack([space_to_depth(item, m.entries, m.stride) for item in x])),
+    ]
+    for net, inputs, oracle_inputs in pairs:
+        got = forward(net, inputs)
+        singles = np.stack([forward(net, item) for item in inputs])
+        want = np.stack([einsum_forward(net, item) for item in oracle_inputs])
+        assert got.shape == want.shape
+        bound = REL_TOL * np.abs(want).max()
+        assert np.abs(got - singles).max() <= bound, net.name
+        assert np.abs(got - want).max() <= bound, net.name
 
 
 def test_batched_forward_agrees_on_lenet_fixture():
@@ -524,13 +510,31 @@ def test_batched_forward_agrees_on_lenet_fixture():
     _assert_batched_forward_agrees(spec, seed=1)
 
 
+def test_forward_on_empty_batch():
+    spec = init_params(
+        NetworkSpec("e", (2, 8, 8), (ConvLayer(3, (2, 2), 2), ActivationLayer("relu"),
+                                     ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4))),
+        seed=12,
+    )
+    result = transform_network(spec)
+    x = np.zeros((0, 2, 8, 8))
+    assert conv_multichannel(spec.layers[0].weights, x, 2).shape == (0, 3, 4, 4)
+    assert forward(spec, x).shape == (0, 4)
+    xt = reshape_input(x, result.input_map)
+    assert xt.shape == (0, 32, 2, 2)
+    assert forward(result.network, xt).shape == (0, 4)
+    # without a dense layer the flattened feature map is the output
+    conv_only = replace(spec, layers=spec.layers[:3])
+    assert forward(conv_only, x).shape == (0, 8)
+    assert forward(transform_network(conv_only).network, xt).shape == (0, 8)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sources_match_oracle_on_random_nets(seed):
     spec = init_params(_random_net(seed), seed=seed)
-    for order in CHANNEL_ORDERS:
-        result = transform_network(spec, order)
-        _assert_sources_match_oracle(spec, result.sources, order)
-        report = verify_equivalence(spec, result.network, result.input_map,
-                                    trials=3, tol=1e-9, seed=seed)
-        assert report.passed, report.max_abs_dev
+    result = transform_network(spec)
+    _assert_sources_match_oracle(spec, result.sources)
+    report = verify_equivalence(spec, result.network, result.input_map,
+                                trials=3, tol=1e-9, seed=seed)
+    assert report.passed, report.max_abs_dev
     _assert_batched_forward_agrees(spec, seed)
