@@ -13,6 +13,7 @@ document-format error, 3 divisibility/shape error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,21 +39,30 @@ from .transform import transform_network
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return value
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
     return value
@@ -179,7 +189,13 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `destride` argument parser, built on first use and shared by every
+    later call, so callers must not change it.
+
+    Parsing leaves the parser unchanged: each call gets a fresh namespace,
+    so `main` can run any number of commands in one process."""
     parser = argparse.ArgumentParser(
         prog="destride",
         description="Rewrite strided all-convolutional networks into "

@@ -111,7 +111,7 @@ def _walk(spec: NetworkSpec):
         elif isinstance(layer, ActivationLayer):
             out, wshape = shape, None
         elif isinstance(layer, FullyConnectedLayer):
-            feats = int(np.prod(shape)) if isinstance(shape, tuple) else shape
+            feats = math.prod(shape) if isinstance(shape, tuple) else shape
             out, wshape = layer.units, (layer.units, feats)
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
@@ -230,7 +230,7 @@ def parameter_report(
         want = trace[i].shape if isinstance(layer, ConvLayer) else wshape
         if tshape != want:
             raise ValueError(f"layer {i}: transformed weight shape {tshape} != expected {want}")
-        orig = int(np.prod(wshape))
+        orig = math.prod(wshape)
         if isinstance(layer, ConvLayer):
             sources = trace[i]
             stored = int(sources.size)

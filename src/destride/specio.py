@@ -67,6 +67,7 @@ string, and inline weight arrays must be flat lists of JSON numbers.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -259,10 +260,10 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
     layers = list(network.layers)
     for idx, flat in flats.items():
         want = expected[idx]
-        if flat.size != int(np.prod(want)):
+        if flat.size != math.prod(want):
             raise SpecFormatError(
                 f"weights: layer {idx} has {flat.size} values, shape {want} "
-                f"needs {int(np.prod(want))}"
+                f"needs {math.prod(want)}"
             )
         w = flat.reshape(want)
         if idx in perms:

@@ -16,6 +16,7 @@ from destride import (
     load_document,
     save_document,
 )
+from destride import cli
 from destride.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -254,6 +255,21 @@ def test_verify_tol_must_be_finite_and_nonnegative(pair, capsys):
     assert rc == (0 if report["passed"] else 1)
 
 
+def test_unparsable_numbers_name_the_option_not_the_parser(pair, capsys):
+    verify = ["verify", str(pair / "orig.json"), str(pair / "trans.json")]
+    for args, option, expected in (
+        (verify + ["--trials", "x"], "--trials", "expected a positive integer, got 'x'"),
+        (verify + ["--seed", "x"], "--seed", "expected a non-negative integer, got 'x'"),
+        (verify + ["--tol", "x"], "--tol", "expected a finite number >= 0, got 'x'"),
+        (["selftest", "--seed", "x"], "--seed", "expected a non-negative integer, got 'x'"),
+    ):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert f"argument {option}: {expected}" in err
+        assert "invalid" not in err
+        assert not any(name in err for name in ("_positive_int", "_seed", "_tolerance"))
+
+
 def test_verify_rejects_weightless_documents(tmp_path, capsys):
     trans = tmp_path / "t.json"
     assert main(["transform", str(FIXTURES / "lenet.json"), str(trans)]) == 0
@@ -416,3 +432,36 @@ def test_selftest_unknown_property_is_usage_error(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_does_not_leak_into_the_next_call(pair, capsys):
+    assert main(["verify", str(pair / "orig.json")]) == 2
+    first = capsys.readouterr()
+    assert "required" in first.err
+    assert main(["verify", str(pair / "orig.json"), str(pair / "trans.json"),
+                 "--trials", "2"]) == 0
+    second = capsys.readouterr()
+    assert "PASS" in second.out
+    assert second.err == ""
+
+
+def test_repeated_property_filter_does_not_accumulate(capsys):
+    for _ in range(2):
+        assert main(["selftest", "--property", "grid-partition"]) == 0
+        out = capsys.readouterr().out
+        assert "1/1 properties passed" in out
+        assert out.count("PASS") == 1
+
+
+def test_option_values_do_not_leak_into_the_next_call(pair, capsys):
+    args = ["verify", str(pair / "orig.json"), str(pair / "trans.json"), "--json"]
+    assert main(args + ["--trials", "3", "--seed", "4", "--tol", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trials"] == 100
+    assert report["tolerance"] == 1e-9
