@@ -6,8 +6,9 @@ Subcommands:
   report     per-layer parameter sharing table for an original/transformed pair
   selftest   run the bundled seeded property suite
 
-Exit codes: 0 success, 1 verification or selftest failure, 2 usage or
-document-format error, 3 divisibility/shape error, 4 I/O error.
+Exit codes: 0 success, 1 verification or selftest failure, or stored
+weights that are not the copies `report` expects, 2 usage or document-format
+error, 3 divisibility/shape error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from .network import (
     ActivationLayer,
@@ -38,34 +41,24 @@ from .specio import (
 from .transform import transform_network
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _option_type(convert, ok, expected: str):
+    """An argparse type: convert(text), accepted when ok(value), else the
+    usage error "expected <expected>, got <text>"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
-    return value
+_positive_int = _option_type(int, lambda v: v >= 1, "a positive integer")
+_seed = _option_type(int, lambda v: v >= 0, "a non-negative integer")
+_tolerance = _option_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
 def _shape_text(shape) -> str:
@@ -129,14 +122,18 @@ def _load_linked_pair(original_path, transformed_path):
     return odoc, tdoc, meta
 
 
+def _carries_weights(network: NetworkSpec) -> bool:
+    return all(
+        getattr(l, "weights", None) is not None
+        for l in network.layers
+        if not isinstance(l, ActivationLayer)
+    )
+
+
 def cmd_verify(args) -> int:
     odoc, tdoc, meta = _load_linked_pair(args.original, args.transformed)
     for path, doc in ((args.original, odoc), (args.transformed, tdoc)):
-        if any(
-            getattr(l, "weights", None) is None
-            for l in doc.network.layers
-            if not isinstance(l, ActivationLayer)
-        ):
+        if not _carries_weights(doc.network):
             raise SpecFormatError(
                 f"{path}: document carries no weights; verification needs "
                 "parameterized networks (save with inline or sidecar weights)"
@@ -161,10 +158,55 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _weight_mismatches(result, transformed: NetworkSpec, input_map) -> list[str]:
+    """One line per layer whose stored weights are not the copies that the
+    rewrite of the original makes (result), NaN matching NaN as in
+    np.array_equal(..., equal_nan=True).  The first conv's input channels
+    are compared in the order of the document's input_map; source index -1
+    marks a padding position."""
+    sigma = result.input_map.stride
+    if input_map.stride != sigma or len(input_map) != len(result.input_map):
+        raise ValueError(
+            f"input map (stride {input_map.stride}, {len(input_map)} channels) does not "
+            f"match the rewrite's (stride {sigma}, {len(result.input_map)} channels)"
+        )
+    k, p, q = input_map._kpq
+    # source-major position of each of the document's input channels
+    order = (k * sigma + p) * sigma + q
+    first_conv = min(result.sources, default=None)
+    lines = []
+    for i, (want, got) in enumerate(zip(result.network.layers, transformed.layers)):
+        if getattr(want, "weights", None) is None:
+            continue
+        want, got = want.weights, got.weights
+        src = result.sources.get(i)
+        if i == first_conv:
+            want, src = want[:, order], src[:, order]
+        bad = got != want
+        if bad.any():
+            bad &= ~(np.isnan(got) & np.isnan(want))  # a NaN copied from a NaN
+        if not bad.any():
+            continue
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        source = src[at] if src is not None else np.ravel_multi_index(at, bad.shape)
+        lines.append(
+            f"layer {i}: {int(bad.sum())} of {bad.size} stored values differ from the "
+            f"weights they copy; first at stored index {tuple(int(v) for v in at)}, "
+            f"source index {int(source)}"
+        )
+    return lines
+
+
 def cmd_report(args) -> int:
-    odoc, tdoc, _ = _load_linked_pair(args.original, args.transformed)
-    trace = transform_network(odoc.network).sources
-    rows = parameter_report(odoc.network, tdoc.network, trace)
+    odoc, tdoc, meta = _load_linked_pair(args.original, args.transformed)
+    result = transform_network(odoc.network)
+    rows = parameter_report(odoc.network, tdoc.network, result.sources)
+    if _carries_weights(odoc.network) and _carries_weights(tdoc.network):
+        mismatches = _weight_mismatches(result, tdoc.network, meta.input_map)
+        for line in mismatches:
+            print(f"error: {line}", file=sys.stderr)
+        if mismatches:
+            return 1
     if args.json:
         print(json.dumps([r.as_dict() for r in rows], indent=1))
         return 0

@@ -15,7 +15,6 @@ extract_filter are written against that layout.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensors import as_matrix, as_tensor4
 
@@ -26,19 +25,15 @@ def conv2d(filt, image) -> np.ndarray:
     out[i, j] = sum over (u, v) of filt[u, v] * image[i + u - 1, j + v - 1]
     in 1-based indices; output shape (rows - a + 1) x (cols - b + 1).
     """
-    h = as_matrix(filt)
-    x = as_matrix(image)
-    if h.shape[0] > x.shape[0] or h.shape[1] > x.shape[1]:
-        raise ValueError(f"filter {h.shape} larger than image {x.shape}")
-    windows = sliding_window_view(x, h.shape)
-    return np.einsum("ijuv,uv->ij", windows, h)
+    return conv2d_strided(filt, image, 1)
 
 
 def conv2d_strided(filt, image, stride: int) -> np.ndarray:
-    """Correlation keeping only every stride-th output row and column."""
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    return conv2d(filt, image)[::stride, ::stride]
+    """Correlation keeping only every stride-th output row and column: the
+    one-channel case of conv_multichannel."""
+    h = as_matrix(filt)
+    x = as_matrix(image)
+    return conv_multichannel(h[None, None], x[None], stride)[0]
 
 
 def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:

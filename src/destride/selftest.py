@@ -156,36 +156,41 @@ def _single_layer_destride(rng) -> str:
     return f"max |strided - piece sum| = {worst:.2e} over 45 layers"
 
 
+def _random_conv_stack(rng):
+    """(input_shape, layers) of a conv stack the rewrite accepts: depth 1-5,
+    strides 1-4 up to a product of 8, a ReLU after each conv at p = 1/2.
+    Heights and widths are drawn apart, from the last conv backwards, so
+    that every conv input divides by its cumulative stride."""
+    depth = int(rng.integers(1, 6))
+    strides = [int(rng.integers(1, 5)) for _ in range(depth)]
+    while math.prod(strides) > 8:
+        strides = [int(rng.integers(1, 5)) for _ in range(depth)]
+    sig_in = [math.prod(strides[i:]) for i in range(depth)]
+    dims = []
+    for _ in range(2):
+        sizes = [int(rng.integers(1, 4))]
+        for i in reversed(range(depth)):
+            least = strides[i] * (sizes[0] - 1) + 1
+            sizes.insert(0, sig_in[i] * (-(-least // sig_in[i]) + int(rng.integers(0, 2))))
+        dims.append(sizes)
+    chans = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
+    layers = []
+    for i in range(depth):
+        kernel = tuple(d[i] - strides[i] * (d[i + 1] - 1) for d in dims)
+        layers.append(ConvLayer(chans[i + 1], kernel, strides[i]))
+        if rng.random() < 0.5:
+            layers.append(ActivationLayer("relu"))
+    return (chans[0], dims[0][0], dims[1][0]), layers
+
+
 def _network_destride(rng) -> str:
-    # conv stacks of depth 1-5, strides 1-4 with a cumulative stride up to 8,
-    # heights and widths drawn apart; sizes are drawn from the last conv
-    # backwards so that every conv input divides by its cumulative stride,
-    # and each kernel is what the sizes then imply
     worst = 0.0
     nets = 10
     for trial in range(nets):
-        depth = int(rng.integers(1, 6))
-        strides = [int(rng.integers(1, 5)) for _ in range(depth)]
-        while math.prod(strides) > 8:
-            strides = [int(rng.integers(1, 5)) for _ in range(depth)]
-        sig_in = [math.prod(strides[i:]) for i in range(depth)]
-        dims = []
-        for _ in range(2):
-            sizes = [int(rng.integers(1, 4))]
-            for i in reversed(range(depth)):
-                least = strides[i] * (sizes[0] - 1) + 1
-                sizes.insert(0, sig_in[i] * (-(-least // sig_in[i]) + int(rng.integers(0, 2))))
-            dims.append(sizes)
-        chans = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-        layers = []
-        for i in range(depth):
-            kernel = tuple(d[i] - strides[i] * (d[i + 1] - 1) for d in dims)
-            layers.append(ConvLayer(chans[i + 1], kernel, strides[i]))
-            if rng.random() < 0.5:
-                layers.append(ActivationLayer("relu"))
+        input_shape, layers = _random_conv_stack(rng)
         layers.append(FullyConnectedLayer(3))
         spec = init_params(
-            NetworkSpec(f"selftest-{trial}", (chans[0], dims[0][0], dims[1][0]), tuple(layers)),
+            NetworkSpec(f"selftest-{trial}", input_shape, tuple(layers)),
             seed=int(rng.integers(0, 2**31)),
         )
         result = transform_network(spec)

@@ -19,15 +19,19 @@ transformed convolution maps one such representation to the next with stride
 1: its filter piece from input channel (k, p, q) to output channel (c, m, n)
 is the (p, q, sigma_in) sample of H[c, k] after prepending (m-1)s zero rows
 and (n-1)s zero columns, zero-padded bottom/right to the common piece shape
-h_in/sigma_in - h_out/sigma_out + 1 per axis.  In closed form, with every
-offset 0-based, piece position (r, t) holds
+h_in/sigma_in - h_out/sigma_out + 1 per axis.  Rows and columns never meet
+in it, so it is one 1-D rule applied once per axis (_axis_offsets): with
+every offset 0-based, piece position r from input grid p to output grid m
+holds kernel entry r*sigma_in + p - m*s where that lies inside the kernel,
+and a padding zero elsewhere.  The 2-D map combines the row and column
+rules, so piece position (r, t) holds
 
     H[c, k, r*sigma_in + p - m*s, t*sigma_in + q - n*s]
 
-where that entry lies inside the kernel, and a padding zero elsewhere.  Under
-the divisibility preconditions each piece's correlation lands exactly on the
-target grid, so no cropping is needed anywhere and outputs match the
-original network bit-for-bit up to float summation order.
+when both offsets lie inside the kernel.  Under the divisibility
+preconditions each piece's correlation lands exactly on the target grid, so
+no cropping is needed anywhere and outputs match the original network
+bit-for-bit up to float summation order.
 
 Transformed weights are pure copies of original weights; the construction
 records, for every stored value, the flat index of the original weight it
@@ -37,6 +41,7 @@ report audits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,12 +61,8 @@ def channel_entries(channels: int, stride: int) -> tuple:
     pixel unshuffle.  Any other complete enumeration renames channels
     consistently and gives an equivalent network; documents may hold one.
     """
-    return tuple(
-        (k, p, q)
-        for k in range(1, channels + 1)
-        for p in range(1, stride + 1)
-        for q in range(1, stride + 1)
-    )
+    grids = range(1, stride + 1)
+    return tuple(itertools.product(range(1, channels + 1), grids, grids))
 
 
 @dataclass(frozen=True)
@@ -181,24 +182,33 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
     return lhs, rhs
 
 
+def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarray:
+    """The 1-D source rule along one axis: an int64 array of shape
+    (sig_in // stride, sig_in, piece) whose entry [m, p, r] is the kernel
+    offset r*sig_in + p - m*stride when it lies in [0, kernel), and -1 for a
+    padding zero."""
+    m = np.arange(sig_in // stride)[:, None, None]
+    p = np.arange(sig_in)[:, None]
+    u = np.arange(piece) * sig_in + p - m * stride
+    return np.where((u >= 0) & (u < kernel), u, -1)
+
+
 def _conv_sources(cin, layer: ConvLayer, sig_in, piece):
     """Integer source map for one transformed conv layer.
 
     Shape (new_out, new_in) + piece; entry = flat index into the original
     (channels_out, cin, kh, kw) weight block, or -1 for a padding zero.
+    Built over the axes (c, m, n, k, p, q, r, t), whose C order is the
+    source-major layout of both channel axes.
     """
     kh, kw = layer.kernel
-    s = layer.stride
-    out_ix = np.array(channel_entries(layer.channels_out, sig_in // s)) - 1
-    in_ix = np.array(channel_entries(cin, sig_in)) - 1
-    # 0-based (c, m, n) and (k, p, q), shaped to broadcast over (out, in, r, t)
-    c, m, n = out_ix.T[:, :, None, None, None]
-    k, p, q = in_ix.T[:, None, :, None, None]
-    u = np.arange(piece[0])[:, None] * sig_in + p - m * s
-    v = np.arange(piece[1]) * sig_in + q - n * s
-    sources = ((c * cin + k) * kh + u) * kw + v
-    sources[(u < 0) | (u >= kh) | (v < 0) | (v >= kw)] = -1
-    return sources
+    cout = layer.channels_out
+    # u spans the axes (m, p, r), v spans (n, q, t) and ck spans (c, k)
+    u = _axis_offsets(kh, layer.stride, sig_in, piece[0])[:, None, None, :, None, :, None]
+    v = _axis_offsets(kw, layer.stride, sig_in, piece[1])[:, None, None, :, None, :]
+    ck = (np.arange(cout)[:, None] * cin + np.arange(cin))[:, None, None, :, None, None, None, None]
+    sources = np.where((u < 0) | (v < 0), -1, (ck * kh + u) * kw + v)
+    return sources.reshape(cout * (sig_in // layer.stride) ** 2, cin * sig_in**2, *piece)
 
 
 def transform_network(spec: NetworkSpec) -> TransformResult:
@@ -232,7 +242,7 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
                 f"layer {i}: input {h}x{w} not divisible by cumulative stride {sig_in}"
             )
         sig_out = sig_in // layer.stride
-        piece = (h // sig_in - h_out // sig_out + 1, w // sig_in - w_out // sig_out + 1)
+        piece = [d // sig_in - d_out // sig_out + 1 for d, d_out in ((h, h_out), (w, w_out))]
         src = _conv_sources(cin, layer, sig_in, piece)
         weights = None
         if layer.weights is not None:

@@ -144,6 +144,29 @@ def source_map(cin, kernel, stride, sigma_in, out_entries, in_entries):
     return out
 
 
+def axis_offsets(kernel, stride, sigma_in, piece):
+    """The source map's rule along one axis, by construction.
+
+    For output grid m and input grid p, both 0-based: take the kernel
+    offsets 0..kernel-1, prepend m*stride entries of -1, take every
+    sigma_in-th entry starting at p, and pad or crop with -1 to piece
+    entries.  Returns an int64 array (sigma_in // stride, sigma_in, piece).
+    """
+    out = np.full((sigma_in // stride, sigma_in, piece), -1, dtype=np.int64)
+    for m in range(sigma_in // stride):
+        line = [-1] * (m * stride) + list(range(kernel))
+        for p in range(sigma_in):
+            picked = []
+            i = p
+            while i < len(line):
+                picked.append(line[i])
+                i += sigma_in
+            picked = (picked + [-1] * piece)[:piece]
+            for r, value in enumerate(picked):
+                out[m, p, r] = value
+    return out
+
+
 def einsum_conv(w, x, s):
     """Strided multi-channel correlation of one (channel, row, col) map, as
     one einsum over sliding windows."""

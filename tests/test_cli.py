@@ -15,6 +15,7 @@ from destride import (
     init_params,
     load_document,
     save_document,
+    transform_network,
 )
 from destride import cli
 from destride.cli import main
@@ -239,6 +240,23 @@ def test_verify_accepts_any_consistent_input_map_order(pair, tmp_path, capsys):
         p = _with_input_map(pair, tmp_path, perm, permute_weights)
         assert main(["verify", str(pair / "orig.json"), str(p), "--trials", "5"]) == code
         assert verdict in capsys.readouterr().out
+        # report reads the first conv's input channels in the map's order too
+        assert main(["report", str(pair / "orig.json"), str(p), "--json"]) == code
+        captured = capsys.readouterr()
+        assert ("layer 0" in captured.err) == (code == 1)
+
+
+def test_report_rejects_an_input_map_of_another_stride(pair, tmp_path, capsys):
+    # as many entries as the rewrite's map, but one grid per channel, so the
+    # first conv's channels cannot be matched to their sources
+    tdoc = load_document(pair / "trans.json")
+    doc = replace(tdoc, transform=replace(
+        tdoc.transform, input_map=ChannelMap(1, [(k, 1, 1) for k in range(1, 9)])))
+    p = tmp_path / "trans.json"
+    save_document(p, doc, weights_mode="sidecar")
+    for command in ("verify", "report"):
+        assert main([command, str(pair / "orig.json"), str(p)]) == 3
+        assert "map" in capsys.readouterr().err
 
 
 def test_verify_tol_must_be_finite_and_nonnegative(pair, capsys):
@@ -385,6 +403,107 @@ def test_report_rejects_transformed_layer_count_mismatch(tmp_path, capsys):
     assert rc == 3
     assert "5 layers" in captured.err
     assert "totals" not in captured.out
+
+
+@pytest.fixture(scope="module")
+def lenet_pair(tmp_path_factory):
+    # weighted LeNet (sidecar mode) and its CLI-produced transform
+    d = tmp_path_factory.mktemp("lenet-pair")
+    spec = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    save_document(d / "orig.json", SpecDocument(network=spec), weights_mode="sidecar")
+    assert main(["transform", str(d / "orig.json"), str(d / "trans.json")]) == 0
+    return d
+
+
+def _edited_first_conv(lenet_pair, tmp_path, edit):
+    # the transformed LeNet with edit applied to a copy of its layer 0 weights
+    tdoc = load_document(lenet_pair / "trans.json")
+    conv, *rest = tdoc.network.layers
+    weights = conv.weights.copy()
+    edit(weights)
+    doc = replace(tdoc, network=replace(tdoc.network,
+                                        layers=(replace(conv, weights=weights), *rest)))
+    p = tmp_path / "trans.json"
+    save_document(p, doc, weights_mode="sidecar")
+    return p
+
+
+def _assert_report_names_layer_0(lenet_pair, trans, capsys):
+    for args in ([], ["--json"]):
+        rc = main(["report", str(lenet_pair / "orig.json"), str(trans), *args])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: layer 0: ")
+        assert "layer 2" not in captured.err
+
+
+def test_report_clean_weighted_pair_exits_0(lenet_pair, capsys):
+    rc = main(["report", str(lenet_pair / "orig.json"), str(lenet_pair / "trans.json"),
+               "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert [r["replication"] for r in json.loads(captured.out)] == [16, 4, 4, 1, 1]
+
+
+def test_report_accepts_nan_copied_from_nan(tmp_path, capsys):
+    spec = init_params(
+        NetworkSpec("nan", (1, 4, 4), (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(3))),
+        seed=5,
+    )
+    for layer in spec.layers:
+        layer.weights.flat[1] = np.nan
+    save_document(tmp_path / "o.json", SpecDocument(network=spec), weights_mode="sidecar")
+    assert main(["transform", str(tmp_path / "o.json"), str(tmp_path / "t.json")]) == 0
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "o.json"), str(tmp_path / "t.json"), "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_report_rejects_a_changed_stored_value(lenet_pair, tmp_path, capsys):
+    def edit(w):
+        w[0, 0, 0, 0] += 1000.0
+
+    trans = _edited_first_conv(lenet_pair, tmp_path, edit)
+    _assert_report_names_layer_0(lenet_pair, trans, capsys)
+    main(["report", str(lenet_pair / "orig.json"), str(trans)])
+    err = capsys.readouterr().err
+    assert "1 of 20480 stored values differ" in err
+    assert "first at stored index (0, 0, 0, 0), source index 0" in err
+
+
+def test_report_rejects_a_one_ulp_change(lenet_pair, tmp_path, capsys):
+    def edit(w):
+        w[3, 5, 1, 0] = np.nextafter(w[3, 5, 1, 0], np.inf)
+
+    trans = _edited_first_conv(lenet_pair, tmp_path, edit)
+    _assert_report_names_layer_0(lenet_pair, trans, capsys)
+
+
+def test_report_rejects_a_nonzero_padding_value(lenet_pair, tmp_path, capsys):
+    sources = transform_network(load_document(lenet_pair / "orig.json").network).sources[0]
+    at = tuple(int(v) for v in np.argwhere(sources < 0)[0])
+
+    def edit(w):
+        assert w[at] == 0.0
+        w[at] = 0.5
+
+    trans = _edited_first_conv(lenet_pair, tmp_path, edit)
+    _assert_report_names_layer_0(lenet_pair, trans, capsys)
+    main(["report", str(lenet_pair / "orig.json"), str(trans)])
+    assert f"first at stored index {at}, source index -1" in capsys.readouterr().err
+
+
+def test_report_rejects_swapped_input_map_entries(lenet_pair, tmp_path, capsys):
+    tdoc = load_document(lenet_pair / "trans.json")
+    entries = list(tdoc.transform.input_map.entries)
+    entries[0], entries[1] = entries[1], entries[0]
+    doc = replace(tdoc, transform=replace(
+        tdoc.transform, input_map=ChannelMap(tdoc.transform.input_map.stride, entries)))
+    trans = tmp_path / "trans.json"
+    save_document(trans, doc, weights_mode="sidecar")
+    _assert_report_names_layer_0(lenet_pair, trans, capsys)
 
 
 def test_report_stride1_pair_all_ratios_one(tmp_path, capsys):

@@ -379,14 +379,3 @@ def test_parameter_report_single_strided_layer_stores_once():
     assert conv.original_count == 4
     assert conv.stored_volume == 4
     assert conv.replication == 1 and conv.padding_zeros == 0
-
-
-def test_parameter_report_rejects_tampered_trace():
-    spec = _lenet()
-    result = transform_network(spec)
-    transformed = result.network
-    trace = dict(result.sources)
-    trace[0] = trace[0].copy()
-    trace[0][trace[0] == 0] = 1  # two positions now share a source
-    with pytest.raises(ValueError, match="distinct"):
-        parameter_report(spec, transformed, trace)

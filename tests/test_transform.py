@@ -28,8 +28,16 @@ from destride import (
     transform_network,
     verify_equivalence,
 )
+from destride.selftest import _random_conv_stack
+from destride.transform import _axis_offsets
 
-from oracles import einsum_forward, slide_correlate_strided, source_map, space_to_depth
+from oracles import (
+    axis_offsets,
+    einsum_forward,
+    slide_correlate_strided,
+    source_map,
+    space_to_depth,
+)
 
 # batched im2col forward against one-input einsums: the summation order
 # differs, so agreement is to this fraction of the largest output
@@ -450,33 +458,49 @@ def _assert_sources_match_oracle(spec, sources):
 
 
 def _random_net(seed):
-    """A random conv stack the rewrite accepts: depth 1-5, strides 1-4 with
-    a cumulative stride up to 8, heights and widths drawn apart.  Sizes are
-    chosen from the last conv backwards so that every conv input divides by
-    its cumulative stride; each kernel is what the sizes then imply."""
+    """selftest's random conv stack, then a dense layer with probability 1/2."""
     r = np.random.default_rng(seed)
-    depth = int(r.integers(1, 6))
-    strides = [int(r.integers(1, 5)) for _ in range(depth)]
-    while math.prod(strides) > 8:
-        strides = [int(r.integers(1, 5)) for _ in range(depth)]
-    sigma_in = [math.prod(strides[i:]) for i in range(depth)]
-    dims = []
-    for _ in range(2):
-        sizes = [int(r.integers(1, 4))]
-        for i in reversed(range(depth)):
-            least = strides[i] * (sizes[0] - 1) + 1
-            sizes.insert(0, sigma_in[i] * (-(-least // sigma_in[i]) + int(r.integers(0, 2))))
-        dims.append(sizes)
-    chans = [int(r.integers(1, 4)) for _ in range(depth + 1)]
-    layers = []
-    for i in range(depth):
-        kernel = tuple(d[i] - strides[i] * (d[i + 1] - 1) for d in dims)
-        layers.append(ConvLayer(chans[i + 1], kernel, strides[i]))
-        if r.random() < 0.5:
-            layers.append(ActivationLayer("relu"))
+    input_shape, layers = _random_conv_stack(r)
     if r.random() < 0.5:
         layers.append(FullyConnectedLayer(int(r.integers(1, 5))))
-    return NetworkSpec(f"random-{seed}", (chans[0], dims[0][0], dims[1][0]), layers)
+    return NetworkSpec(f"random-{seed}", input_shape, layers)
+
+
+def test_axis_offsets_match_oracle():
+    # every piece length up to one past the longest sample any (m, p) pair
+    # takes, so crops, exact fits and padding all occur
+    cases = 0
+    for kernel in range(1, 8):
+        for stride in range(1, 5):
+            for sigma_out in range(1, 5):
+                sigma_in = sigma_out * stride
+                longest = -(-(kernel + (sigma_out - 1) * stride) // sigma_in)
+                for piece in range(1, longest + 2):
+                    got = _axis_offsets(kernel, stride, sigma_in, piece)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(
+                        got, axis_offsets(kernel, stride, sigma_in, piece)
+                    ), (kernel, stride, sigma_in, piece)
+                    cases += 1
+    assert cases > 7 * 4 * 4
+
+
+def test_destride_layer_is_the_one_conv_case_of_the_rewrite():
+    r = np.random.default_rng(31)
+    for s in range(1, 5):
+        for _ in range(4):
+            a, b = (int(v) for v in r.integers(1, 4, 2))
+            h = s * (a + int(r.integers(0, 3)))
+            w = s * (b + int(r.integers(0, 3)))
+            spec = init_params(
+                NetworkSpec("one-conv", (1, h, w), (ConvLayer(1, (a * s, b * s), s),)),
+                seed=s,
+            )
+            x = r.standard_normal((h, w))
+            result = transform_network(spec)
+            filters, channels = destride_layer(spec.layers[0].weights[0, 0], x, s)
+            assert np.array_equal(np.stack(filters), result.network.layers[0].weights[0])
+            assert np.array_equal(np.stack(channels), reshape_input(x[None], result.input_map))
 
 
 def test_sources_match_oracle_on_lenet_fixture():
