@@ -76,7 +76,7 @@ dev = np.abs(forward(spec, x) - forward(net, reshape_input(x, result.input_map))
 print("single input deviation:", dev)
 
 # the price: transformed layers store the same weights many times over
-rows = parameter_report(spec, net, result.sources)
+rows = parameter_report(spec, result.sources)
 print("\nlayer  kind              original    stored  replication")
 for row in rows:
     print(f"{row.layer_index:>5}  {row.kind:<16} {row.original_count:>9} "

@@ -6,9 +6,9 @@ Subcommands:
   report     per-layer parameter sharing table for an original/transformed pair
   selftest   run the bundled seeded property suite
 
-Exit codes: 0 success, 1 verification or selftest failure, or stored
-weights that are not the copies `report` expects, 2 usage or document-format
-error, 3 divisibility/shape error, 4 I/O error.
+Exit codes: 0 success, 1 verification or selftest failure or stored weights
+that are not the copies `report` expects, 2 usage or document-format error,
+3 divisibility/shape error or an architecture `report` rejects, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -158,30 +158,41 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _weight_mismatches(result, transformed: NetworkSpec, input_map) -> list[str]:
-    """One line per layer whose stored weights are not the copies that the
-    rewrite of the original makes (result), NaN matching NaN as in
-    np.array_equal(..., equal_nan=True).  The first conv's input channels
-    are compared in the order of the document's input_map; source index -1
-    marks a padding position."""
-    sigma = result.input_map.stride
-    if input_map.stride != sigma or len(input_map) != len(result.input_map):
+def _rewrite_mismatches(result, transformed: NetworkSpec, input_map) -> list[str]:
+    """Compare a transformed document with the rewrite of its original
+    (result).  Raises ValueError at the first difference in architecture:
+    the input map's stride or length, the input shape, the layer count, or
+    a layer's kind, channels_out, kernel, stride, function or units.  When
+    both networks carry weights, returns one line per layer whose stored
+    values are not the copies the rewrite makes, NaN matching NaN.  The
+    first conv's input channels are compared in input_map order; source
+    index -1 marks a padding position."""
+    if input_map.stride != result.input_map.stride or len(input_map) != len(result.input_map):
         raise ValueError(
-            f"input map (stride {input_map.stride}, {len(input_map)} channels) does not "
-            f"match the rewrite's (stride {sigma}, {len(result.input_map)} channels)"
+            f"input map (stride {input_map.stride}, {len(input_map)} channels) does not match "
+            f"the rewrite's (stride {result.input_map.stride}, {len(result.input_map)} channels)"
         )
-    k, p, q = input_map._kpq
-    # source-major position of each of the document's input channels
-    order = (k * sigma + p) * sigma + q
+    if transformed.input_shape != result.network.input_shape:
+        raise ValueError(f"input shape {_shape_text(transformed.input_shape)} is not the "
+                         f"rewrite's {_shape_text(result.network.input_shape)}")
+    if len(transformed.layers) != len(result.network.layers):
+        raise ValueError(f"transformed network has {len(transformed.layers)} layers, "
+                         f"original has {len(result.network.layers)}")
+    for i, (want, got) in enumerate(zip(result.network.layers, transformed.layers)):
+        if _describe_layer(got) != _describe_layer(want):
+            raise ValueError(f"layer {i}: {_describe_layer(got)} is not the rewrite's "
+                             f"{_describe_layer(want)}")
+    if not (_carries_weights(result.network) and _carries_weights(transformed)):
+        return []
     first_conv = min(result.sources, default=None)
     lines = []
     for i, (want, got) in enumerate(zip(result.network.layers, transformed.layers)):
-        if getattr(want, "weights", None) is None:
+        if isinstance(want, ActivationLayer):
             continue
         want, got = want.weights, got.weights
         src = result.sources.get(i)
         if i == first_conv:
-            want, src = want[:, order], src[:, order]
+            want, src = want[:, input_map.positions], src[:, input_map.positions]
         bad = got != want
         if bad.any():
             bad &= ~(np.isnan(got) & np.isnan(want))  # a NaN copied from a NaN
@@ -200,19 +211,17 @@ def _weight_mismatches(result, transformed: NetworkSpec, input_map) -> list[str]
 def cmd_report(args) -> int:
     odoc, tdoc, meta = _load_linked_pair(args.original, args.transformed)
     result = transform_network(odoc.network)
-    rows = parameter_report(odoc.network, tdoc.network, result.sources)
-    if _carries_weights(odoc.network) and _carries_weights(tdoc.network):
-        mismatches = _weight_mismatches(result, tdoc.network, meta.input_map)
-        for line in mismatches:
-            print(f"error: {line}", file=sys.stderr)
-        if mismatches:
-            return 1
+    mismatches = _rewrite_mismatches(result, tdoc.network, meta.input_map)
+    for line in mismatches:
+        print(f"error: {line}", file=sys.stderr)
+    if mismatches:
+        return 1
+    rows = parameter_report(odoc.network, result.sources)
     if args.json:
         print(json.dumps([r.as_dict() for r in rows], indent=1))
         return 0
     print(f"parameter sharing: {odoc.network.name} -> {tdoc.network.name}")
-    header = f"{'layer':>5}  {'kind':<16} {'original':>9} {'stored':>9} {'padding':>9} {'distinct':>9} {'replication':>11}"
-    print(header)
+    print(f"{'layer':>5}  {'kind':<16} {'original':>9} {'stored':>9} {'padding':>9} {'distinct':>9} {'replication':>11}")
     for r in rows:
         print(
             f"{r.layer_index:>5}  {r.kind:<16} {r.original_count:>9} "

@@ -200,42 +200,26 @@ class LayerSharing:
         return dict(self.__dict__)
 
 
-def parameter_report(
-    original: NetworkSpec, transformed: NetworkSpec, trace: dict
-) -> list[LayerSharing]:
-    """Per-layer sharing report derived from the transform's source trace.
+def parameter_report(original: NetworkSpec, sources: dict) -> list[LayerSharing]:
+    """Per-layer sharing report of the rewrite of original, from its source
+    maps alone.
 
-    trace is TransformResult.sources: it maps conv layer index -> integer
+    sources is TransformResult.sources: it maps conv layer index -> integer
     array, same shape as the transformed layer's weights, holding the flat
     index of the original weight each stored value was copied from (-1
-    marks a padding zero).
-    Raises if the transformed architecture is not the one the trace
-    describes: another layer count, or a parameterized layer whose walked
-    weight shape is not its trace's shape, or the original's for a dense
-    layer.  The counts come from the trace alone; whether stored weights
-    are the copies it names is the caller's check.
+    marks a padding zero).  Whether a document holds that rewrite is the
+    caller's check.
     """
-    tplan = list(_walk(transformed))
-    if len(tplan) != len(original.layers):
-        raise ValueError(
-            f"transformed network has {len(tplan)} layers, original has "
-            f"{len(original.layers)}"
-        )
     rows = []
-    for i, (layer, (_, _, wshape), (_, _, tshape)) in enumerate(
-        zip(original.layers, _walk(original), tplan)
-    ):
+    for i, (layer, (_, _, wshape)) in enumerate(zip(original.layers, _walk(original))):
         if wshape is None:
             continue
-        want = trace[i].shape if isinstance(layer, ConvLayer) else wshape
-        if tshape != want:
-            raise ValueError(f"layer {i}: transformed weight shape {tshape} != expected {want}")
         orig = math.prod(wshape)
         if isinstance(layer, ConvLayer):
-            sources = trace[i]
-            stored = int(sources.size)
-            padding = int((sources < 0).sum())
-            distinct = int(np.unique(sources[sources >= 0]).size)
+            src = sources[i]
+            stored = int(src.size)
+            padding = int((src < 0).sum())
+            distinct = int(np.unique(src[src >= 0]).size)
             rows.append(
                 LayerSharing(i, "conv", orig, stored, distinct, padding,
                              (stored - padding) // orig)

@@ -231,7 +231,10 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
             # exact types: bool is an int subclass and must not load as 0/1
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
                 raise SpecFormatError(f"weights: layer {idx} must be a flat list of numbers")
-            flats[idx] = np.asarray(values, dtype=np.float64)
+            try:
+                flats[idx] = np.asarray(values, dtype=np.float64)
+            except OverflowError:  # an integer beyond the largest float64
+                raise SpecFormatError(f"weights: layer {idx} has a number beyond float64") from None
     elif mode == "sidecar":
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")

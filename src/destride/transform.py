@@ -72,9 +72,8 @@ class ChannelMap:
     entries[i] = (source_channel k, row_offset p, col_offset q), all 1-based:
     new channel i holds the (p, q, stride) grid sample of source channel k.
     The entries must enumerate every (k, p, q) combination exactly once.
-    The 0-based gather index reshape_input reads is built here, once per
-    map; it is private and not a field, so ==, hash and repr see only
-    stride and entries.
+    Their source-major positions are cached privately, not as a field, so
+    ==, hash and repr see only stride and entries.
     """
 
     stride: int
@@ -90,13 +89,18 @@ class ChannelMap:
         # the sorted entries of a complete cover are the source-major ones
         if rest or sorted(self.entries) != list(channel_entries(channels, self.stride)):
             raise ValueError("entries must cover every (channel, p, q) exactly once")
-        # rows k, p, q of the 0-based entries
-        kpq = (np.array(self.entries) - 1).T
-        kpq.flags.writeable = False
-        object.__setattr__(self, "_kpq", kpq)
+        k, p, q = (np.array(self.entries) - 1).T
+        position = (k * self.stride + p) * self.stride + q
+        position.flags.writeable = False
+        object.__setattr__(self, "_position", position)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Read-only: entries[i] is channel positions[i] of the source-major layout."""
+        return self._position
 
     @property
     def source_channels(self) -> int:
@@ -291,7 +295,7 @@ def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
         raise ValueError(f"input dims {h}x{w} not divisible by map stride {s}")
     # grids[:, k, p, q] is the (p, q, s) grid sample of channel k, 0-based
     grids = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
-    k, p, q = input_map._kpq
+    k, p, q = np.unravel_index(input_map.positions, (c, s, s))
     # indexing the batch axis too puts the gathered axes first, so the
     # result comes out C-ordered, as conv_multichannel takes it
     out = grids[np.arange(n)[:, None], k, p, q]

@@ -272,7 +272,7 @@ def _random_transformable_net(r, idx):
 
 def _sharing_rows_consistent(spec) -> bool:
     result = transform_network(spec)
-    rows = parameter_report(spec, result.network, result.sources)
+    rows = parameter_report(spec, result.sources)
     mult = _conv_output_multiplicities(spec)
     ok = True
     for row in rows:

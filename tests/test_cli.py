@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from destride import (
+    ActivationLayer,
     ChannelMap,
     ConvLayer,
     FullyConnectedLayer,
@@ -504,6 +505,77 @@ def test_report_rejects_swapped_input_map_entries(lenet_pair, tmp_path, capsys):
     trans = tmp_path / "trans.json"
     save_document(trans, doc, weights_mode="sidecar")
     _assert_report_names_layer_0(lenet_pair, trans, capsys)
+
+
+def _edited_transform(original, tmp_path, edit):
+    # the CLI-produced transform of original with edit applied to its
+    # network, saved with sidecar weights
+    trans = tmp_path / "trans.json"
+    assert main(["transform", str(original), str(trans)]) == 0
+    tdoc = load_document(trans)
+    save_document(trans, replace(tdoc, network=edit(tdoc.network)), weights_mode="sidecar")
+    return trans
+
+
+def _assert_report_rejects_architecture(original, trans, capsys, error):
+    capsys.readouterr()
+    for args in ([], ["--json"]):
+        rc = main(["report", str(original), str(trans), *args])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
+def test_report_rejects_a_changed_activation(lenet_pair, tmp_path, capsys):
+    # every ReLU made the identity: the weights are all the right copies,
+    # but verify fails this pair by about 1e5
+    def edit(net):
+        return replace(net, layers=tuple(
+            ActivationLayer("identity") if isinstance(l, ActivationLayer) else l
+            for l in net.layers
+        ))
+
+    trans = _edited_transform(lenet_pair / "orig.json", tmp_path, edit)
+    _assert_report_rejects_architecture(
+        lenet_pair / "orig.json", trans, capsys,
+        "layer 1: activation identity is not the rewrite's activation relu",
+    )
+
+
+def test_report_rejects_an_activation_replaced_by_a_conv(tmp_path, capsys):
+    # a 1x1 conv of weight 1 keeps every feature-map shape, so the dense
+    # weights still have the shape the rewrite gives them
+    spec = init_params(
+        NetworkSpec("relu", (1, 4, 4), (ConvLayer(1, (2, 2), 2), ActivationLayer("relu"),
+                                        FullyConnectedLayer(1))),
+        seed=3,
+    )
+    original = tmp_path / "orig.json"
+    save_document(original, SpecDocument(network=spec), weights_mode="sidecar")
+
+    def edit(net):
+        conv, _, dense = net.layers
+        return replace(net, layers=(conv, ConvLayer(1, (1, 1), 1, np.ones((1, 1, 1, 1))),
+                                    dense))
+
+    trans = _edited_transform(original, tmp_path, edit)
+    _assert_report_rejects_architecture(
+        original, trans, capsys, "layer 1: conv 1 @ 1x1 is not the rewrite's activation relu"
+    )
+
+
+def test_report_rejects_another_input_shape(tmp_path, capsys):
+    # a conv-only net: a larger input changes no weight shape, only the
+    # size of the output
+    spec = init_params(NetworkSpec("conv", (1, 4, 4), (ConvLayer(1, (2, 2), 2),)), seed=4)
+    original = tmp_path / "orig.json"
+    save_document(original, SpecDocument(network=spec), weights_mode="sidecar")
+    trans = _edited_transform(original, tmp_path,
+                              lambda net: replace(net, input_shape=(4, 3, 3)))
+    _assert_report_rejects_architecture(
+        original, trans, capsys, "input shape 4x3x3 is not the rewrite's 4x2x2"
+    )
 
 
 def test_report_stride1_pair_all_ratios_one(tmp_path, capsys):

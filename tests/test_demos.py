@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import destride
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the README's library examples, so that the documented API cannot drift
@@ -33,3 +35,9 @@ def test_demo_runs(demo):
                          ids=[f"block{i}" for i in range(len(README_BLOCKS))])
 def test_readme_example_runs(block):
     _run(["-c", block])
+
+
+def test_readme_names_every_public_name():
+    text = (ROOT / "README.md").read_text()
+    missing = [n for n in destride.__all__ if not re.search(rf"\b{re.escape(n)}\b", text)]
+    assert missing == []

@@ -341,7 +341,7 @@ def test_equivalence_report_from_deviations():
 def test_parameter_report_frozen_lenet_rows():
     spec = _lenet()
     result = transform_network(spec)
-    rows = parameter_report(spec, result.network, result.sources)
+    rows = parameter_report(spec, result.sources)
     table = [
         (r.layer_index, r.kind, r.original_count, r.stored_volume,
          r.padding_zeros, r.distinct_sources, r.replication)
@@ -361,7 +361,7 @@ def test_parameter_report_stride1_all_ratios_one():
         "flat", (2, 6, 6), (ConvLayer(3, (3, 3), 1), FullyConnectedLayer(4))
     )
     result = transform_network(spec)
-    rows = parameter_report(spec, result.network, result.sources)
+    rows = parameter_report(spec, result.sources)
     assert all(r.replication == 1 and r.padding_zeros == 0 for r in rows)
     assert all(r.stored_volume == r.original_count for r in rows)
 
@@ -373,7 +373,7 @@ def test_parameter_report_single_strided_layer_stores_once():
         "lone", (1, 4, 4), (ConvLayer(1, (2, 2), 2), FullyConnectedLayer(2))
     )
     result = transform_network(spec)
-    rows = parameter_report(spec, result.network, result.sources)
+    rows = parameter_report(spec, result.sources)
     conv = rows[0]
     assert conv.kind == "conv"
     assert conv.original_count == 4

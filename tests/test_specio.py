@@ -274,6 +274,8 @@ def test_load_rejects_bad_layer_values(tmp_path):
         doc([conv], weights="0.5"),
         doc([conv], weights=[[0.5] * 4, [0.5] * 3]),
         doc([conv], weights=[[0.5] * 4, [0.5] * 4]),
+        # an integer too large for float64
+        doc([conv], weights=[1, 2, 3, 4, 5, 6, 7, 10**400]),
     ]
     # a layer-index key is the canonical str(i), so no two keys name one layer
     np.full(8, 0.5).tofile(tmp_path / "w.bin")

@@ -562,3 +562,19 @@ def test_sources_match_oracle_on_random_nets(seed):
                                 trials=3, tol=1e-9, seed=seed)
     assert report.passed, report.max_abs_dev
     _assert_batched_forward_agrees(spec, seed)
+
+
+def test_scatter_of_each_rewrite_restores_the_original():
+    # the scatter W2[src[m]] = T[m] inverts the gather T = W.flat[src]: it
+    # fills every original weight, and each stored value is its source's copy
+    specs = [init_params(load_document(FIXTURES / "lenet.json").network, seed=0)]
+    specs += [init_params(_random_net(seed), seed=seed) for seed in range(40)]
+    for spec in specs:
+        result = transform_network(spec)
+        for i, src in result.sources.items():
+            w, t = spec.layers[i].weights, result.network.layers[i].weights
+            m = src >= 0
+            w2 = np.full(w.size, np.nan)
+            w2[src[m]] = t[m]
+            assert np.array_equal(w2, w.ravel()), (spec.name, i)
+            assert np.array_equal(t[m], w.flat[src[m]]), (spec.name, i)
