@@ -14,6 +14,8 @@ extract_filter are written against that layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensors import as_matrix, as_tensor4
@@ -46,18 +48,19 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     feature_map[k].
 
     Computed as im2col (Chellapilla et al. 2006): the weights reshaped to
-    (out, in*a*b) times a column matrix (in*a*b, oh*ow) per batch item, whose
-    column for each kept output position holds the in*a*b input values under
-    the kernel there, read from a strided window view.  The column matrix is
-    copied out of the view only when the view is not already one, so a 1x1
-    stride-1 conv multiplies its input in place.  A copied column matrix
-    holds a*b*oh*ow / (h*w) times the values of its feature map, so the batch
-    goes through the product in slices of max(1, N*h*w // (a*b*oh*ow))
-    items: each slice's column matrix is no larger than the whole input,
-    unless a single item's already is.
+    (out, in*a*b) times a column matrix (in*a*b, oh*ow), whose column for
+    each kept output position holds the in*a*b input values under the kernel
+    there, read from a strided window view and copied out of it only when
+    the view is not already one (so a 1x1 stride-1 conv multiplies its input
+    in place).  A copied column matrix holds a*b*oh*ow / (h*w) times the
+    values of its feature map, so a batch of N goes through in slices of
+    max(1, N*h*w // (a*b*oh*ow)) items, each no larger than the input unless
+    one item's is.  One feature map, or a batch that fits one slice, is one
+    product.
     """
     w = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(feature_map, dtype=np.float64)
+    # the window view below is laid over x's buffer, which must be C-ordered
+    x = np.asarray(feature_map, dtype=np.float64, order="C")
     if w.ndim != 4:
         raise ValueError(f"weights must be 4-D (out, in, row, col), got rank {w.ndim}")
     if x.ndim not in (3, 4):
@@ -65,10 +68,7 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
             "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
             f"col), got rank {x.ndim}"
         )
-    single = x.ndim == 3
-    # the window view below is laid over x's buffer, which must be C-ordered
-    x = np.ascontiguousarray(x[None] if single else x)
-    n, c, h, wd = x.shape
+    *batch, c, h, wd = x.shape
     out_c, _, a, b = w.shape
     if w.shape[1] != c:
         raise ValueError(f"filter expects {w.shape[1]} input channels, feature map has {c}")
@@ -77,34 +77,33 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     if a > h or b > wd:
         raise ValueError(f"filter {w.shape[2:]} larger than image {(h, wd)}")
     oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
-    # (N, c, a, b, oh, ow), a read-only view of x's buffer; numpy checks that
-    # it stays inside, which holds as (oh - 1) * stride + a <= h and
-    # (ow - 1) * stride + b <= wd
-    sn, sc, sh, sw = x.strides
+    # ([N,] c, a, b, oh, ow), a read-only view of x's buffer; numpy checks
+    # that it stays inside, which holds as (oh - 1) * stride + a <= h and
+    # (ow - 1) * stride + b <= wd.  Its arguments go by position, since
+    # naming them costs ndarray a microsecond a call
+    *_, sh, sw = x.strides
     windows = np.ndarray(
-        (n, c, a, b, oh, ow),
-        np.float64,
-        buffer=x,
-        offset=0,
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        (*batch, c, a, b, oh, ow), np.float64, x, 0, (*x.strides, sh * stride, sw * stride)
     )
-    windows.flags.writeable = False
+    windows.setflags(write=False)
     kernel = w.reshape(out_c, c * a * b)
+    n = math.prod(batch)
+    step = max(1, n * h * wd // (a * b * oh * ow))
+    # a copy unless the view already is a C-ordered column matrix (a bare
+    # reshape could give an overlapping view that BLAS cannot take)
+    if step >= n:
+        cols = np.ascontiguousarray(windows).reshape(*batch, c * a * b, oh * ow)
+        return (kernel @ cols).reshape(*batch, out_c, oh, ow)
     out = np.empty((n, out_c, oh * ow))
-    # at least 1, so that an empty batch makes no slice and comes out empty
-    step = max(1, min(n, n * h * wd // (a * b * oh * ow)))
     for i in range(0, n, step):
         m = min(step, n - i)
-        # a copy unless the slice already is a C-ordered column matrix (a
-        # bare reshape could give an overlapping view that BLAS cannot take);
         # a temporary, so one slice's copy is freed before the next is made
         np.matmul(
             kernel,
             np.ascontiguousarray(windows[i : i + m]).reshape(m, c * a * b, oh * ow),
             out=out[i : i + m],
         )
-    out = out.reshape(n, out_c, oh, ow)
-    return out[0] if single else out
+    return out.reshape(n, out_c, oh, ow)
 
 
 def build_conv_tensor(filt, image_shape) -> np.ndarray:

@@ -140,12 +140,11 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
         raise ValueError(
             f"input must be (channels, h, w) or (batch, channels, h, w), got rank {x.ndim}"
         )
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    if x.shape[1:] != spec.input_shape:
-        what = "input shape" if single else "batch item shape"
-        raise ValueError(f"{what} {x.shape[1:]} != spec input {spec.input_shape}")
+    # the leading axes, () for one input or (N,) for a batch, ride through
+    batch = x.shape[:-3]
+    if x.shape[-3:] != spec.input_shape:
+        what = "batch item shape" if batch else "input shape"
+        raise ValueError(f"{what} {x.shape[-3:]} != spec input {spec.input_shape}")
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, ConvLayer):
             if layer.weights is None:
@@ -160,17 +159,16 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
             if layer.weights is None:
                 raise ValueError(f"layer {i}: fully connected layer has no weights")
             # reshape cannot infer a -1 width from an empty batch
-            v = x.reshape(len(x), math.prod(x.shape[1:]))
-            if layer.weights.shape[1] != v.shape[1]:
+            v = x.reshape(*batch, math.prod(x.shape[len(batch):]))
+            if layer.weights.shape[1] != v.shape[-1]:
                 raise ValueError(
                     f"layer {i}: weight columns {layer.weights.shape[1]} != "
-                    f"flattened input {v.shape[1]}"
+                    f"flattened input {v.shape[-1]}"
                 )
             x = v @ layer.weights.T
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
-    y = x.reshape(len(x), math.prod(x.shape[1:]))
-    return y[0] if single else y
+    return x.reshape(*batch, math.prod(x.shape[len(batch):]))
 
 
 def init_params(spec: NetworkSpec, seed: int) -> NetworkSpec:

@@ -61,7 +61,9 @@ sidecar lengths must not be negative.  A sidecar must hold exactly 8 bytes
 per value the lengths declare, with no trailing bytes.  The document, its
 network and each layer may carry only the keys shown above (a layer only
 those of its kind), no object may repeat a key, "provenance" must be a
-string, and inline weight arrays must be flat lists of JSON numbers.
+string, and inline weight arrays must be flat lists of JSON numbers, none
+beyond float64: an integer too large, or a decimal such as 1e400 that json
+reads as infinity, is rejected, while NaN, Infinity and -Infinity load.
 """
 
 from __future__ import annotations
@@ -231,10 +233,17 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
             # exact types: bool is an int subclass and must not load as 0/1
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
                 raise SpecFormatError(f"weights: layer {idx} must be a flat list of numbers")
+            beyond = f"weights: layer {idx} has a number beyond float64"
             try:
-                flats[idx] = np.asarray(values, dtype=np.float64)
+                flat = np.asarray(values, dtype=np.float64)
             except OverflowError:  # an integer beyond the largest float64
-                raise SpecFormatError(f"weights: layer {idx} has a number beyond float64") from None
+                raise SpecFormatError(beyond) from None
+            # json.loads reads a decimal beyond float64 (1e400) as an infinity,
+            # so each infinity must be one the document spelled out
+            for v in (values[i] for i in np.flatnonzero(np.isinf(flat))):
+                if v is not _CONSTANTS["Infinity"] and v is not _CONSTANTS["-Infinity"]:
+                    raise SpecFormatError(beyond)
+            flats[idx] = flat
     elif mode == "sidecar":
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
@@ -309,6 +318,12 @@ def _transform_from_json(obj) -> TransformMetadata:
         raise SpecFormatError(f"transform: {e}") from None
 
 
+# json.loads calls parse_constant only for the spellings NaN, Infinity and
+# -Infinity, so a spelled infinity is one of these objects and any other
+# infinity it returns came from an out-of-range decimal
+_CONSTANTS = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+
+
 def _unique_keys(pairs) -> dict:
     """json object_pairs_hook: json.loads alone keeps the last of two equal
     keys, so a repeated "0" in "arrays" would silently replace the first."""
@@ -324,7 +339,11 @@ def load_document(path) -> SpecDocument:
     """Parse and validate a spec document (and its sidecar, if any)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(
+            path.read_text(encoding="utf-8"),
+            object_pairs_hook=_unique_keys,
+            parse_constant=_CONSTANTS.__getitem__,
+        )
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SpecFormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(raw, dict):

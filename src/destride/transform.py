@@ -288,15 +288,12 @@ def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
             f"got rank {x.ndim}"
         )
     s = input_map.stride
-    n, c, h, w = x.shape if x.ndim == 4 else (1,) + x.shape
+    *batch, c, h, w = x.shape
     if c != input_map.source_channels:
         raise ValueError(f"input has {c} channels, map expects {input_map.source_channels}")
     if h % s != 0 or w % s != 0:
         raise ValueError(f"input dims {h}x{w} not divisible by map stride {s}")
-    # grids[:, k, p, q] is the (p, q, s) grid sample of channel k, 0-based
-    grids = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
-    k, p, q = np.unravel_index(input_map.positions, (c, s, s))
-    # indexing the batch axis too puts the gathered axes first, so the
-    # result comes out C-ordered, as conv_multichannel takes it
-    out = grids[np.arange(n)[:, None], k, p, q]
-    return out if x.ndim == 4 else out[0]
+    # pixel unshuffle: axes (c, h/s, p, w/s, q) copied as (c, p, q, h/s, w/s),
+    # the source-major channel layout; then the channels in the map's order
+    grids = x.reshape(math.prod(batch), c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
+    return grids.reshape(*batch, c * s * s, h // s, w // s).take(input_map.positions, axis=-3)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -605,6 +608,16 @@ def test_selftest_property_filter(capsys):
     assert rc == 0
     assert "1/1 properties passed" in out
     assert "sampled-conv-identity" in out
+
+
+def test_python_m_destride_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "destride", "selftest", "--property", "sampled-conv-identity"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "1/1 properties passed" in done.stdout
 
 
 def test_selftest_seed_reproducible(capsys):

@@ -316,21 +316,31 @@ def test_conv_multichannel_takes_any_layout_and_dtype():
 
 
 def test_conv_multichannel_is_one_blas_product_per_item():
-    # bit for bit the weights times a C-ordered im2col matrix.  With one
-    # input channel, a bare reshape of the window view of a 5x1 or 1x2
-    # kernel at stride 1 is an overlapping view, which numpy multiplies in
-    # its own loop; with one output channel that loop sums in another order
+    # bit for bit the weights times a C-ordered im2col matrix, item by item,
+    # for one feature map, a batch that fits one slice and a batch that
+    # splits into several.  With one input channel, a bare reshape of the
+    # window view of a 5x1 or 1x2 kernel at stride 1 is an overlapping view,
+    # which numpy multiplies in its own loop; with one output channel that
+    # loop sums in another order
     r = np.random.default_rng(25)
-    for o, c, (a, b), s in ((1, 1, (5, 1), 1), (1, 1, (1, 2), 1), (3, 1, (5, 1), 1),
-                            (1, 4, (5, 1), 1), (3, 4, (3, 3), 2), (3, 4, (1, 1), 1),
-                            (2, 2, (2, 3), 3)):
+    cases = [(o, c, (a, b), s, (6, c, 16, 16))
+             for o, c, (a, b), s in ((1, 1, (5, 1), 1), (1, 1, (1, 2), 1), (3, 1, (5, 1), 1),
+                                     (1, 4, (5, 1), 1), (3, 4, (3, 3), 2), (3, 4, (1, 1), 1),
+                                     (2, 2, (2, 3), 3))]
+    # the batch of test_conv_multichannel_column_matrix_stays_within_input,
+    # which goes through in slices of 13 items
+    cases.append((2, 3, (12, 9), 3, (50, 3, 18, 15)))
+    for o, c, (a, b), s, shape in cases:
         w = r.standard_normal((o, c, a, b))
-        x = r.standard_normal((6, c, 16, 16))
-        y = conv_multichannel(w, x, stride=s)
+        x = r.standard_normal(shape)
         windows = sliding_window_view(x, (a, b), axis=(2, 3))[:, :, ::s, ::s]
         cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
-        plain = w.reshape(o, -1) @ cols.reshape(6, c * a * b, -1)
-        assert np.array_equal(y, plain.reshape(y.shape)), (o, c, a, b, s)
+        plain = np.stack([w.reshape(o, -1) @ item.reshape(c * a * b, -1) for item in cols])
+        y = conv_multichannel(w, x, stride=s)
+        assert np.array_equal(y, plain.reshape(y.shape)), (o, c, a, b, s, shape)
+        for item, want in zip(x, plain):
+            one = conv_multichannel(w, item, stride=s)
+            assert np.array_equal(one, want.reshape(one.shape)), (o, c, a, b, s)
 
 
 def test_conv_multichannel_1x1_stride_1_copies_nothing():

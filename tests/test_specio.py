@@ -303,6 +303,32 @@ def test_load_rejects_bad_layer_values(tmp_path):
             load_document(p)
 
 
+def test_decimal_beyond_float64_is_rejected_but_spelled_constants_load(tmp_path):
+    # json.loads turns 1e400 into an infinity; only the spelled Infinity and
+    # -Infinity may load as one, and 1e-400 rounds to 0.0 as it should
+    p = tmp_path / "x.json"
+    text = json.dumps({
+        "schema_version": 1,
+        "network": {"name": "n", "provenance": "original", "input_shape": [1, 4, 4],
+                    "layers": [{"kind": "conv", "channels_out": 1, "kernel": [2, 2],
+                                "stride": 2}]},
+        "weights": {"mode": "inline", "arrays": {"0": [1.0, 2.0, 3.0, "LAST"]}},
+    })
+    for literal in ("1e400", "-1e400", "1E+999"):
+        p.write_text(text.replace('"LAST"', literal))
+        with pytest.raises(SpecFormatError, match="layer 0 has a number beyond float64"):
+            load_document(p)
+        p.write_text(text.replace('"LAST"', f"Infinity, {literal}").replace("1.0, ", ""))
+        with pytest.raises(SpecFormatError, match="layer 0"):
+            load_document(p)
+    for literal, want in (("NaN", np.nan), ("Infinity", np.inf), ("-Infinity", -np.inf),
+                          ("1e-400", 0.0), ("-1e-400", -0.0)):
+        p.write_text(text.replace('"LAST"', literal))
+        got = load_document(p).network.layers[0].weights
+        assert np.array_equal(got.ravel(), [1.0, 2.0, 3.0, want], equal_nan=True), literal
+        assert np.signbit(got.flat[3]) == np.signbit(want)
+
+
 def test_input_permutation_is_folded_at_load_and_never_written(tmp_path):
     # as earlier versions wrote it: column j of the dense weights meets flat
     # element perm[j] of the 3x3x3 feature map

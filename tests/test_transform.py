@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -315,6 +316,50 @@ def test_reshape_input_batch_equals_stacked_single_calls():
     assert np.array_equal(got[4], space_to_depth(x[4], cm.entries, 3))
     with pytest.raises(ValueError, match="rank"):
         reshape_input(x[None], cm)
+
+
+def test_reshape_input_makes_one_new_array_beside_one_transient():
+    # a new C-ordered array for every map, the identity of stride 1 too; its
+    # only other memory is one input-sized transient (the unshuffled copy)
+    r = np.random.default_rng(33)
+    for s, c, shuffle in ((1, 3, False), (2, 2, False), (4, 1, True), (3, 2, True)):
+        entries = _entries(c, s)
+        if shuffle:
+            entries = [entries[i] for i in r.permutation(len(entries))]
+        cm = ChannelMap(s, entries)
+        x = r.standard_normal((40, c, 12 * s, 6 * s))
+        tracemalloc.start()
+        try:
+            got = reshape_input(x, cm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+        assert not np.shares_memory(got, x)
+        assert peak <= got.nbytes + x.nbytes + 4096, (s, c, shuffle)
+        assert np.array_equal(got, np.stack([space_to_depth(item, cm.entries, s) for item in x]))
+
+
+def test_single_input_equals_batch_of_one():
+    # one input goes through forward and reshape_input without a batch axis,
+    # and must give the bits of a batch of one
+    specs = [init_params(load_document(FIXTURES / "lenet.json").network, seed=0)]
+    specs += [init_params(_random_net(seed), seed=seed) for seed in range(40)]
+    for seed, spec in enumerate(specs):
+        result = transform_network(spec)
+        m = result.input_map
+        x = np.random.default_rng(seed).standard_normal(spec.input_shape)
+        xt = reshape_input(x, m)
+        assert np.array_equal(xt, reshape_input(x[None], m)[0]), spec.name
+        for net, item in ((spec, x), (result.network, xt)):
+            y = forward(net, item)
+            assert y.ndim == 1
+            assert np.array_equal(y, forward(net, item[None])[0]), net.name
+        # an empty batch goes through both
+        empty = reshape_input(np.zeros((0,) + spec.input_shape), m)
+        assert empty.shape == (0,) + result.network.input_shape
+        assert forward(result.network, empty).shape == (0, y.size)
+        assert forward(spec, np.zeros((0,) + spec.input_shape)).shape == (0, y.size)
 
 
 def test_channel_map_gather_index_is_private_and_read_only():
