@@ -119,15 +119,20 @@ def _walk(spec: NetworkSpec):
         shape = out
 
 
+def _check_weights(i: int, layer, wshape) -> None:
+    """Raise unless layer i carries no weights or weights of shape wshape."""
+    weights = getattr(layer, "weights", None)
+    if weights is not None and weights.shape != wshape:
+        raise ValueError(f"layer {i}: weight shape {weights.shape} != declared {wshape}")
+
+
 def infer_shapes(spec: NetworkSpec) -> list:
     """Output shape after each layer: (channels, h, w) tuples, or a feature
     count once the network has flattened.  Also validates that declared
     weights match declared shapes."""
     out = []
     for i, (layer, (_, shape, wshape)) in enumerate(zip(spec.layers, _walk(spec))):
-        weights = getattr(layer, "weights", None)
-        if weights is not None and weights.shape != wshape:
-            raise ValueError(f"layer {i}: weight shape {weights.shape} != declared {wshape}")
+        _check_weights(i, layer, wshape)
         out.append(shape)
     return out
 
@@ -214,10 +219,11 @@ def parameter_report(original: NetworkSpec, sources: dict) -> list[LayerSharing]
             continue
         orig = math.prod(wshape)
         if isinstance(layer, ConvLayer):
-            src = sources[i]
-            stored = int(src.size)
-            padding = int((src < 0).sum())
-            distinct = int(np.unique(src[src >= 0]).size)
+            # bin 0 counts the padding zeros (-1), bin j + 1 the copies of j
+            counts = np.bincount(sources[i].reshape(-1) + 1)
+            stored = int(sources[i].size)
+            padding = int(counts[0])
+            distinct = int(np.count_nonzero(counts[1:]))
             rows.append(
                 LayerSharing(i, "conv", orig, stored, distinct, padding,
                              (stored - padding) // orig)

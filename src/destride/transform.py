@@ -33,9 +33,16 @@ preconditions each piece's correlation lands exactly on the target grid, so
 no cropping is needed anywhere and outputs match the original network
 bit-for-bit up to float summation order.
 
-Transformed weights are pure copies of original weights; the construction
-records, for every stored value, the flat index of the original weight it
-came from (-1 for the deliberate padding zeros), which is what the parameter
+Transformed weights are pure copies of original weights, which is the
+paper's parameter sharing among channels.  All pieces of one conv are one
+strided window over its kernel, zero-padded with (sigma_out-1)*s rows and
+columns in front and as many behind as the pieces reach (_piece_window):
+the m and n axes step back s rows and columns, the p and q axes step 1 and
+the r and t axes step sigma_in, so reshaping the window into the
+transformed weight block copies each piece once.  The same window over the
+flat indices 0, 1, ... of the kernel, padded with -1, is the layer's source
+map: for every stored value, the flat index of the original weight it came
+from (-1 for the deliberate padding zeros), which is what the parameter
 report audits.
 """
 
@@ -49,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import conv2d
-from .network import ConvLayer, NetworkSpec, _walk, infer_shapes
+from .network import ConvLayer, NetworkSpec, _check_weights, _walk, infer_shapes
 from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
 from .tensors import as_matrix
 
@@ -71,28 +78,48 @@ class ChannelMap:
 
     entries[i] = (source_channel k, row_offset p, col_offset q), all 1-based:
     new channel i holds the (p, q, stride) grid sample of source channel k.
-    The entries must enumerate every (k, p, q) combination exactly once.
-    Their source-major positions are cached privately, not as a field, so
-    ==, hash and repr see only stride and entries.
+    The entries must be integer triples that enumerate every (k, p, q)
+    combination exactly once; a float or a bool is refused, not truncated.
+    Their source-major positions, and whether they are in source-major
+    order, are cached privately, not as fields, so ==, hash and repr see
+    only stride and entries.
     """
 
     stride: int
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
-        if self.stride < 1:
-            raise ValueError(f"stride must be at least 1, got {self.stride}")
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        s = self.stride
+        if s < 1:
+            raise ValueError(f"stride must be at least 1, got {s}")
         if not self.entries:
             raise ValueError("channel map needs at least one entry")
-        channels, rest = divmod(len(self.entries), self.stride**2)
-        # the sorted entries of a complete cover are the source-major ones
-        if rest or sorted(self.entries) != list(channel_entries(channels, self.stride)):
-            raise ValueError("entries must cover every (channel, p, q) exactly once")
-        k, p, q = (np.array(self.entries) - 1).T
-        position = (k * self.stride + p) * self.stride + q
+        channels, rest = divmod(len(self.entries), s * s)
+        cover = ValueError("entries must cover every (channel, p, q) exactly once")
+        values = list(itertools.chain.from_iterable(self.entries))
+        # bool is a subclass of int, so the types are compared exactly
+        if rest or set(map(len, self.entries)) != {3} or not all(
+            t is int or issubclass(t, np.integer) for t in set(map(type, values))
+        ):
+            raise cover
+        try:
+            offsets = np.array(values, dtype=np.int64).reshape(-1, 3) - 1
+        except OverflowError:
+            raise cover from None
+        # read as unsigned, a negative offset is out of range too
+        if not (offsets.view(np.uint64) < (channels, s, s)).all():
+            raise cover
+        # in range, so a permutation of the source-major layout exactly when
+        # no position occurs twice
+        position = offsets @ (s * s, s, 1)
+        if np.bincount(position).max() > 1:
+            raise cover
         position.flags.writeable = False
         object.__setattr__(self, "_position", position)
+        object.__setattr__(
+            self, "_source_major", bool((position == np.arange(len(position))).all())
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -186,33 +213,67 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
     return lhs, rhs
 
 
+def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
+    """Every filter piece of the rewrite of one conv, as one read-only window.
+
+    block (cout, cin, kh, kw) is copied once into a buffer of dtype
+    np.result_type(block, fill) that holds (sigma_out-1)*stride `fill` rows
+    above it and as many columns left of it, and `fill` below and right of
+    it as far as the pieces reach.  The window's axes are (c, m, n, k, p, q,
+    r, t): m and n step -stride rows and columns, p and q step 1, and r and
+    t step sig_in, so entry [c, m, n, k, p, q, r, t] is
+
+        block[c, k, r*sig_in + p - m*stride, t*sig_in + q - n*stride]
+
+    where both offsets lie in the kernel, and `fill` elsewhere.  Reshaping
+    it to (cout*sigma_out**2, cin*sig_in**2, *piece) copies it once, into
+    the source-major layout of both channel axes.
+    """
+    cout, cin, kh, kw = block.shape
+    ph, pw = piece
+    sig_out = sig_in // stride
+    lead = (sig_out - 1) * stride
+    padded = np.empty(
+        (cout, cin, lead + max(kh, ph * sig_in), lead + max(kw, pw * sig_in)),
+        dtype=np.result_type(block, fill),
+    )
+    padded.fill(fill)
+    padded[:, :, lead : lead + kh, lead : lead + kw] = block
+    sc, sk, sr, st = padded.strides
+    window = np.ndarray(
+        (cout, sig_out, sig_out, cin, sig_in, sig_in, ph, pw),
+        padded.dtype,
+        padded,
+        offset=lead * (sr + st),
+        strides=(sc, -stride * sr, -stride * st, sk, sr, st, sig_in * sr, sig_in * st),
+    )
+    window.flags.writeable = False
+    return window
+
+
 def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarray:
     """The 1-D source rule along one axis: an int64 array of shape
     (sig_in // stride, sig_in, piece) whose entry [m, p, r] is the kernel
     offset r*sig_in + p - m*stride when it lies in [0, kernel), and -1 for a
-    padding zero."""
-    m = np.arange(sig_in // stride)[:, None, None]
-    p = np.arange(sig_in)[:, None]
-    u = np.arange(piece) * sig_in + p - m * stride
-    return np.where((u >= 0) & (u < kernel), u, -1)
+    padding zero.  It is _piece_window over one row of offsets: a one-column
+    kernel, whose column rule is the identity at n = q = t = 0."""
+    offsets = np.arange(kernel, dtype=np.int64).reshape(1, 1, kernel, 1)
+    return _piece_window(offsets, -1, stride, sig_in, (piece, 1))[0, :, 0, 0, :, 0, :, 0]
 
 
 def _conv_sources(cin, layer: ConvLayer, sig_in, piece):
     """Integer source map for one transformed conv layer.
 
     Shape (new_out, new_in) + piece; entry = flat index into the original
-    (channels_out, cin, kh, kw) weight block, or -1 for a padding zero.
-    Built over the axes (c, m, n, k, p, q, r, t), whose C order is the
-    source-major layout of both channel axes.
+    (channels_out, cin, kh, kw) weight block, or -1 for a padding zero.  It
+    is the same window as the layer's weights (_piece_window), laid over the
+    flat indices of the weight block instead of its values, and copied once
+    into the source-major layout of both channel axes.
     """
-    kh, kw = layer.kernel
     cout = layer.channels_out
-    # u spans the axes (m, p, r), v spans (n, q, t) and ck spans (c, k)
-    u = _axis_offsets(kh, layer.stride, sig_in, piece[0])[:, None, None, :, None, :, None]
-    v = _axis_offsets(kw, layer.stride, sig_in, piece[1])[:, None, None, :, None, :]
-    ck = (np.arange(cout)[:, None] * cin + np.arange(cin))[:, None, None, :, None, None, None, None]
-    sources = np.where((u < 0) | (v < 0), -1, (ck * kh + u) * kw + v)
-    return sources.reshape(cout * (sig_in // layer.stride) ** 2, cin * sig_in**2, *piece)
+    flat = np.arange(cout * cin * math.prod(layer.kernel), dtype=np.int64)
+    window = _piece_window(flat.reshape(cout, cin, *layer.kernel), -1, layer.stride, sig_in, piece)
+    return window.reshape(cout * (sig_in // layer.stride) ** 2, cin * sig_in**2, *piece)
 
 
 def transform_network(spec: NetworkSpec) -> TransformResult:
@@ -226,9 +287,11 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     feature map comes out in the original flatten order.
 
     Weights, when present, are copied from the original network; no values
-    are invented.  Requires every convolution input dimension divisible by
-    that layer's cumulative stride and every (dim - kernel) divisible by the
-    layer stride; violations raise RaggedSamplingError naming the layer.
+    are invented.  Weights of another shape than their layer declares raise
+    ValueError naming the layer.  Requires every convolution input dimension
+    divisible by that layer's cumulative stride and every (dim - kernel)
+    divisible by the layer stride; violations raise RaggedSamplingError
+    naming the layer.
     """
     plan = list(_walk(spec))
     total = math.prod(l.stride for l in spec.layers if isinstance(l, ConvLayer))
@@ -237,6 +300,7 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     sources = {}
     sig_in = total
     for i, layer in enumerate(spec.layers):
+        _check_weights(i, layer, plan[i][2])
         if not isinstance(layer, ConvLayer):
             continue
         (cin, h, w), (_, h_out, w_out), _ = plan[i]
@@ -250,8 +314,8 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
         src = _conv_sources(cin, layer, sig_in, piece)
         weights = None
         if layer.weights is not None:
-            flat = layer.weights.reshape(-1)
-            weights = np.where(src >= 0, flat[np.clip(src, 0, None)], 0.0)
+            window = _piece_window(layer.weights, 0.0, layer.stride, sig_in, piece)
+            weights = window.reshape(src.shape)
         new_layers[i] = ConvLayer(
             channels_out=src.shape[0],
             kernel=src.shape[2:],
@@ -280,7 +344,9 @@ def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
     """Rearrange a raw input (c, h, w), or a batch (N, c, h, w), into the
     transformed network's channel layout (space-to-depth): output channel i
     is the grid sample named by input_map.entries[i].  The result is a new
-    C-contiguous array."""
+    C-contiguous array: the unshuffled copy itself when the map is
+    source-major, as every map the rewrite writes is, or else a take of its
+    channels in the map's order."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ValueError(
@@ -293,7 +359,13 @@ def reshape_input(x, input_map: ChannelMap) -> np.ndarray:
         raise ValueError(f"input has {c} channels, map expects {input_map.source_channels}")
     if h % s != 0 or w % s != 0:
         raise ValueError(f"input dims {h}x{w} not divisible by map stride {s}")
-    # pixel unshuffle: axes (c, h/s, p, w/s, q) copied as (c, p, q, h/s, w/s),
-    # the source-major channel layout; then the channels in the map's order
-    grids = x.reshape(math.prod(batch), c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
-    return grids.reshape(*batch, c * s * s, h // s, w // s).take(input_map.positions, axis=-3)
+    # pixel unshuffle: axes (c, h/s, p, w/s, q) copied once as (c, p, q, h/s,
+    # w/s), the source-major channel layout; copied at stride 1 too, where a
+    # reshape alone would give x back
+    n, ho, wo = math.prod(batch), h // s, w // s
+    out = np.empty((*batch, c * s * s, ho, wo))
+    out.reshape(n, c, s, s, ho, wo)[...] = x.reshape(n, c, ho, s, wo, s).transpose(0, 1, 3, 5, 2, 4)
+    if input_map._source_major:
+        return out
+    # any other map then takes the channels in its order
+    return out.take(input_map.positions, axis=-3)

@@ -182,6 +182,25 @@ def test_channel_map_validates_bijection():
     ChannelMap(2, _entries(2, 2)[::-1])
     with pytest.raises(ValueError):
         ChannelMap(0, ((1, 1, 1),))
+    # each of these has a full-cover length, and is refused with one message
+    for entries in (
+        ((1, 1),),
+        ((1, 1, 1, 1),),
+        ((1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2, 1)),
+        ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1)),  # p = stride + 1
+        ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 1, 3)),  # q = stride + 1
+        _entries(2, 2)[:-1] + [(3, 2, 2)],  # k = channels + 1
+        ((2**70, 1, 1),),
+        ((1.5, 1, 1),),  # not truncated to 1
+        ((1.0, 1, 1),),
+        ((True, 1, 1),),
+        ((1, np.True_, 1),),
+    ):
+        stride = 1 if len(entries) == 1 else 2
+        with pytest.raises(ValueError, match=r"must cover every \(channel, p, q\) exactly once"):
+            ChannelMap(stride, entries)
+    # numpy integers are integers
+    assert ChannelMap(1, ((np.int64(1), 1, 1),)).positions.tolist() == [0]
 
 
 def test_channel_map_sampling_spec():
@@ -319,15 +338,19 @@ def test_reshape_input_batch_equals_stacked_single_calls():
 
 
 def test_reshape_input_makes_one_new_array_beside_one_transient():
-    # a new C-ordered array for every map, the identity of stride 1 too; its
-    # only other memory is one input-sized transient (the unshuffled copy)
+    # a new C-ordered array for every map, the identity of stride 1 too, and
+    # where the unshuffle alone could be a view of x (h = w = s); a
+    # source-major map returns the unshuffled copy, any other map takes its
+    # channels from that copy as one input-sized transient
     r = np.random.default_rng(33)
-    for s, c, shuffle in ((1, 3, False), (2, 2, False), (4, 1, True), (3, 2, True)):
+    cases = [(1, 3, False, 12, 6), (1, 3, True, 12, 6), (2, 2, False, 24, 12),
+             (4, 1, True, 48, 24), (3, 2, True, 36, 18), (2, 3, False, 2, 2)]
+    for s, c, shuffle, h, w in cases:
         entries = _entries(c, s)
         if shuffle:
             entries = [entries[i] for i in r.permutation(len(entries))]
         cm = ChannelMap(s, entries)
-        x = r.standard_normal((40, c, 12 * s, 6 * s))
+        x = r.standard_normal((40, c, h, w))
         tracemalloc.start()
         try:
             got = reshape_input(x, cm)
@@ -336,7 +359,8 @@ def test_reshape_input_makes_one_new_array_beside_one_transient():
             tracemalloc.stop()
         assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
         assert not np.shares_memory(got, x)
-        assert peak <= got.nbytes + x.nbytes + 4096, (s, c, shuffle)
+        transient = x.nbytes if shuffle else 0
+        assert peak <= got.nbytes + transient + 4096, (s, c, shuffle)
         assert np.array_equal(got, np.stack([space_to_depth(item, cm.entries, s) for item in x]))
 
 
@@ -623,3 +647,67 @@ def test_scatter_of_each_rewrite_restores_the_original():
             w2[src[m]] = t[m]
             assert np.array_equal(w2, w.ravel()), (spec.name, i)
             assert np.array_equal(t[m], w.flat[src[m]]), (spec.name, i)
+
+
+def _gather(w, src):
+    """The rewrite as a gather through its source map: the reference the
+    window construction must reproduce bit for bit."""
+    return np.where(src >= 0, w.reshape(-1)[np.clip(src, 0, None)], 0.0)
+
+
+def _special_values_net():
+    # a NaN with a payload, a negative NaN, both infinities and a negative
+    # zero among the weights of a two-conv net
+    spec = init_params(
+        NetworkSpec("special", (2, 8, 8), (ConvLayer(3, (4, 2), 2), ActivationLayer("relu"),
+                                           ConvLayer(2, (1, 3), 1), FullyConnectedLayer(2))),
+        seed=5,
+    )
+    w = spec.layers[0].weights.copy()
+    w.flat[:5] = np.array([0x7FF8_0000_0000_0123, 0xFFF8_0000_0000_0456, 0x7FF0 << 48,
+                           0xFFF0 << 48, 1 << 63], dtype=np.uint64).view(np.float64)
+    v = spec.layers[2].weights.copy()
+    v.flat[-2:] = (-0.0, np.inf)
+    layers = list(spec.layers)
+    layers[0], layers[2] = replace(layers[0], weights=w), replace(layers[2], weights=v)
+    return replace(spec, layers=tuple(layers))
+
+
+def test_window_weights_equal_the_gather_bit_for_bit():
+    specs = [init_params(load_document(FIXTURES / "lenet.json").network, seed=0)]
+    specs += [init_params(_random_net(seed), seed=seed) for seed in range(40)]
+    specs.append(_special_values_net())
+    for spec in specs:
+        result = transform_network(spec)
+        for i, src in result.sources.items():
+            got, want = result.network.layers[i].weights, _gather(spec.layers[i].weights, src)
+            assert src.dtype == np.int64
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (spec.name, i)
+    # the special values are there to be copied
+    got = transform_network(specs[-1]).network.layers[0].weights
+    assert np.isin([0x7FF8_0000_0000_0123, 1 << 63], got.view(np.uint64)).all()
+
+
+def test_window_weights_keep_float32_and_widen_integers():
+    spec = _special_values_net()
+    for dtype, want_dtype in ((np.float32, np.float32), (np.int64, np.float64)):
+        w = np.arange(spec.layers[0].weights.size).reshape(spec.layers[0].weights.shape) - 7
+        conv = replace(spec.layers[0], weights=w.astype(dtype))
+        result = transform_network(replace(spec, layers=(conv,) + spec.layers[1:]))
+        got, src = result.network.layers[0].weights, result.sources[0]
+        want = _gather(conv.weights, src)
+        assert got.dtype == want.dtype == want_dtype
+        assert np.array_equal(got, want)
+
+
+def test_rewrite_rejects_conv_weights_of_another_shape():
+    # a third filter would be dropped, and a (2, 2, 2, 1) block read as the
+    # declared (2, 1, 2, 2) one; both are refused as infer_shapes refuses them
+    for shape in ((3, 1, 2, 2), (2, 2, 2, 1)):
+        spec = NetworkSpec("wrong", (1, 4, 4),
+                           (ConvLayer(2, (2, 2), 2, weights=np.zeros(shape)),))
+        for check in (infer_shapes, transform_network):
+            with pytest.raises(ValueError, match=rf"layer 0: weight shape \({shape[0]}, "
+                                                 rf".* != declared \(2, 1, 2, 2\)"):
+                check(spec)
