@@ -68,7 +68,6 @@ reads as infinity, is rejected, while NaN, Infinity and -Infinity load.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -307,12 +306,7 @@ def _transform_from_json(obj) -> TransformMetadata:
     imap = _require(obj, "input_map", dict, "transform")
     entries = _require(imap, "entries", list, "transform.input_map")
     stride = _require(imap, "stride", int, "transform.input_map")
-    # one pass over the types; the entry-by-entry check only names the first
-    # bad entry
-    if not (set(map(type, entries)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(entries))) <= {int}):
-        for e in entries:
-            _ints(e, "transform.input_map: entries")
+    entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
     if "flatten_permutation" in obj:
         # written by earlier versions; the rewrite keeps the flatten order
         perm = _ints(obj["flatten_permutation"], "transform: flatten_permutation")

@@ -20,7 +20,7 @@ transformed convolution maps one such representation to the next with stride
 is the (p, q, sigma_in) sample of H[c, k] after prepending (m-1)s zero rows
 and (n-1)s zero columns, zero-padded bottom/right to the common piece shape
 h_in/sigma_in - h_out/sigma_out + 1 per axis.  Rows and columns never meet
-in it, so it is one 1-D rule applied once per axis (_axis_offsets): with
+in it, so it is one 1-D rule per axis (_axis_offsets is the row rule): with
 every offset 0-based, piece position r from input grid p to output grid m
 holds kernel entry r*sigma_in + p - m*s where that lies inside the kernel,
 and a padding zero elsewhere.  The 2-D map combines the row and column
@@ -38,10 +38,10 @@ paper's parameter sharing among channels.  All pieces of one conv are one
 strided window over its kernel, zero-padded with (sigma_out-1)*s rows and
 columns in front and as many behind as the pieces reach (_piece_window):
 the m and n axes step back s rows and columns, the p and q axes step 1 and
-the r and t axes step sigma_in, so reshaping the window into the
-transformed weight block copies each piece once.  The same window over the
-flat indices 0, 1, ... of the kernel, padded with -1, is the layer's source
-map: for every stored value, the flat index of the original weight it came
+the r and t axes step sigma_in, so one copy of the window, reshaped, is
+the transformed weight block: each piece is copied once.  The same window
+over the flat indices 0, 1, ... of the kernel, padded with -1, is the
+layer's source map: for every stored value, the flat index of the original weight it came
 from (-1 for the deliberate padding zeros), which is what the parameter
 report audits.
 """
@@ -89,32 +89,23 @@ class ChannelMap:
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
-        s = self.stride
-        if s < 1:
-            raise ValueError(f"stride must be at least 1, got {s}")
+        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride}")
         if not self.entries:
             raise ValueError("channel map needs at least one entry")
-        channels, rest = divmod(len(self.entries), s * s)
-        cover = ValueError("entries must cover every (channel, p, q) exactly once")
-        values = list(itertools.chain.from_iterable(self.entries))
-        # bool is a subclass of int, so the types are compared exactly
-        if rest or set(map(len, self.entries)) != {3} or not all(
-            t is int or issubclass(t, np.integer) for t in set(map(type, values))
+        channels, rest = divmod(len(self.entries), self.stride**2)
+        # the sorted entries of a complete cover are the source-major ones;
+        # bool is a subclass of int and 1.0 == 1, so the types are checked
+        types = set(map(type, itertools.chain.from_iterable(self.entries)))
+        if (
+            rest
+            or not all(t is int or issubclass(t, np.integer) for t in types)
+            or sorted(self.entries) != list(channel_entries(channels, self.stride))
         ):
-            raise cover
-        try:
-            offsets = np.array(values, dtype=np.int64).reshape(-1, 3) - 1
-        except OverflowError:
-            raise cover from None
-        # read as unsigned, a negative offset is out of range too
-        if not (offsets.view(np.uint64) < (channels, s, s)).all():
-            raise cover
-        # in range, so a permutation of the source-major layout exactly when
-        # no position occurs twice
-        position = offsets @ (s * s, s, 1)
-        if np.bincount(position).max() > 1:
-            raise cover
+            raise ValueError("entries must cover every (channel, p, q) exactly once")
+        k, p, q = (np.array(self.entries) - 1).T
+        position = (k * self.stride + p) * self.stride + q
         position.flags.writeable = False
         object.__setattr__(self, "_position", position)
         object.__setattr__(
@@ -214,7 +205,8 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
 
 
 def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
-    """Every filter piece of the rewrite of one conv, as one read-only window.
+    """Every filter piece of the rewrite of one conv, copied once from one
+    strided window over the zero-padded kernel.
 
     block (cout, cin, kh, kw) is copied once into a buffer of dtype
     np.result_type(block, fill) that holds (sigma_out-1)*stride `fill` rows
@@ -225,9 +217,10 @@ def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
 
         block[c, k, r*sig_in + p - m*stride, t*sig_in + q - n*stride]
 
-    where both offsets lie in the kernel, and `fill` elsewhere.  Reshaping
-    it to (cout*sigma_out**2, cin*sig_in**2, *piece) copies it once, into
-    the source-major layout of both channel axes.
+    where both offsets lie in the kernel, and `fill` elsewhere.  The result
+    is a new array: the window copied once and reshaped to
+    (cout*sigma_out**2, cin*sig_in**2, *piece), the source-major layout of
+    both channel axes.
     """
     cout, cin, kh, kw = block.shape
     ph, pw = piece
@@ -247,8 +240,8 @@ def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
         offset=lead * (sr + st),
         strides=(sc, -stride * sr, -stride * st, sk, sr, st, sig_in * sr, sig_in * st),
     )
-    window.flags.writeable = False
-    return window
+    # a copy even at sig_in = 1, where the window is the whole buffer
+    return np.array(window).reshape(cout * sig_out**2, cin * sig_in**2, ph, pw)
 
 
 def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarray:
@@ -258,7 +251,9 @@ def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarr
     padding zero.  It is _piece_window over one row of offsets: a one-column
     kernel, whose column rule is the identity at n = q = t = 0."""
     offsets = np.arange(kernel, dtype=np.int64).reshape(1, 1, kernel, 1)
-    return _piece_window(offsets, -1, stride, sig_in, (piece, 1))[0, :, 0, 0, :, 0, :, 0]
+    sig_out = sig_in // stride
+    pieces = _piece_window(offsets, -1, stride, sig_in, (piece, 1))
+    return pieces.reshape(sig_out, sig_out, sig_in, sig_in, piece)[:, 0, :, 0]
 
 
 def _conv_sources(cin, layer: ConvLayer, sig_in, piece):
@@ -270,10 +265,9 @@ def _conv_sources(cin, layer: ConvLayer, sig_in, piece):
     flat indices of the weight block instead of its values, and copied once
     into the source-major layout of both channel axes.
     """
-    cout = layer.channels_out
-    flat = np.arange(cout * cin * math.prod(layer.kernel), dtype=np.int64)
-    window = _piece_window(flat.reshape(cout, cin, *layer.kernel), -1, layer.stride, sig_in, piece)
-    return window.reshape(cout * (sig_in // layer.stride) ** 2, cin * sig_in**2, *piece)
+    flat = np.arange(cin * layer.channels_out * math.prod(layer.kernel), dtype=np.int64)
+    return _piece_window(flat.reshape(layer.channels_out, cin, *layer.kernel), -1,
+                         layer.stride, sig_in, piece)
 
 
 def transform_network(spec: NetworkSpec) -> TransformResult:
@@ -314,8 +308,7 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
         src = _conv_sources(cin, layer, sig_in, piece)
         weights = None
         if layer.weights is not None:
-            window = _piece_window(layer.weights, 0.0, layer.stride, sig_in, piece)
-            weights = window.reshape(src.shape)
+            weights = _piece_window(layer.weights, 0.0, layer.stride, sig_in, piece)
         new_layers[i] = ConvLayer(
             channels_out=src.shape[0],
             kernel=src.shape[2:],

@@ -711,3 +711,19 @@ def test_rewrite_rejects_conv_weights_of_another_shape():
             with pytest.raises(ValueError, match=rf"layer 0: weight shape \({shape[0]}, "
                                                  rf".* != declared \(2, 1, 2, 2\)"):
                 check(spec)
+
+
+def test_rewritten_weights_and_sources_are_new_writeable_arrays():
+    # the trailing stride-1 conv has sigma_in = 1, where the padded kernel
+    # is the whole window; it too gets an array of its own
+    spec = init_params(
+        NetworkSpec("tail", (1, 8, 8), (ConvLayer(2, (2, 2), 2), ConvLayer(3, (3, 3), 1))), seed=0
+    )
+    result = transform_network(spec)
+    for i, src in result.sources.items():
+        weights = result.network.layers[i].weights
+        for got, base in ((weights, spec.layers[i].weights), (src, None)):
+            assert got.flags.writeable and (got.flags.owndata or got.base.flags.owndata)
+            assert base is None or not np.shares_memory(got, base)
+        weights *= 2
+        src += 1
