@@ -20,11 +20,12 @@ transformed convolution maps one such representation to the next with stride
 is the (p, q, sigma_in) sample of H[c, k] after prepending (m-1)s zero rows
 and (n-1)s zero columns, zero-padded bottom/right to the common piece shape
 h_in/sigma_in - h_out/sigma_out + 1 per axis.  Rows and columns never meet
-in it, so it is one 1-D rule per axis (_axis_offsets is the row rule): with
-every offset 0-based, piece position r from input grid p to output grid m
-holds kernel entry r*sigma_in + p - m*s where that lies inside the kernel,
-and a padding zero elsewhere.  The 2-D map combines the row and column
-rules, so piece position (r, t) holds
+in it, so it is one 1-D rule per axis (_axis_offsets; _piece_window below
+applies both axes' rules at once): with every offset 0-based, piece
+position r from input grid p to output grid m holds kernel entry
+r*sigma_in + p - m*s where that lies inside the kernel, and a padding zero
+elsewhere.  The 2-D map combines the row and column rules, so piece
+position (r, t) holds
 
     H[c, k, r*sigma_in + p - m*s, t*sigma_in + q - n*s]
 
@@ -41,9 +42,9 @@ the m and n axes step back s rows and columns, the p and q axes step 1 and
 the r and t axes step sigma_in, so one copy of the window, reshaped, is
 the transformed weight block: each piece is copied once.  The same window
 over the flat indices 0, 1, ... of the kernel, padded with -1, is the
-layer's source map: for every stored value, the flat index of the original weight it came
-from (-1 for the deliberate padding zeros), which is what the parameter
-report audits.
+layer's source map: for every stored value, the flat index of the original
+weight it came from (-1 for the deliberate padding zeros), which is what
+the parameter report audits.
 """
 
 from __future__ import annotations
@@ -98,19 +99,18 @@ class ChannelMap:
         # the sorted entries of a complete cover are the source-major ones;
         # bool is a subclass of int and 1.0 == 1, so the types are checked
         types = set(map(type, itertools.chain.from_iterable(self.entries)))
+        source_major = channel_entries(channels, self.stride)
         if (
             rest
             or not all(t is int or issubclass(t, np.integer) for t in types)
-            or sorted(self.entries) != list(channel_entries(channels, self.stride))
+            or sorted(self.entries) != list(source_major)
         ):
             raise ValueError("entries must cover every (channel, p, q) exactly once")
         k, p, q = (np.array(self.entries) - 1).T
         position = (k * self.stride + p) * self.stride + q
         position.flags.writeable = False
         object.__setattr__(self, "_position", position)
-        object.__setattr__(
-            self, "_source_major", bool((position == np.arange(len(position))).all())
-        )
+        object.__setattr__(self, "_source_major", self.entries == source_major)
 
     def __len__(self) -> int:
         return len(self.entries)
