@@ -218,9 +218,10 @@ def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
         block[c, k, r*sig_in + p - m*stride, t*sig_in + q - n*stride]
 
     where both offsets lie in the kernel, and `fill` elsewhere.  The result
-    is a new array: the window copied once and reshaped to
-    (cout*sigma_out**2, cin*sig_in**2, *piece), the source-major layout of
-    both channel axes.
+    is the window reshaped to (cout*sigma_out**2, cin*sig_in**2, *piece),
+    the source-major layout of both channel axes: one copy of it, or at
+    sig_in = 1, where the window is the whole buffer, the buffer itself.
+    Either way it shares no memory with block.
     """
     cout, cin, kh, kw = block.shape
     ph, pw = piece
@@ -240,8 +241,7 @@ def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
         offset=lead * (sr + st),
         strides=(sc, -stride * sr, -stride * st, sk, sr, st, sig_in * sr, sig_in * st),
     )
-    # a copy even at sig_in = 1, where the window is the whole buffer
-    return np.array(window).reshape(cout * sig_out**2, cin * sig_in**2, ph, pw)
+    return window.reshape(cout * sig_out**2, cin * sig_in**2, ph, pw)
 
 
 def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarray:
