@@ -1,6 +1,8 @@
 """Reading and writing network spec documents.
 
-A document is a JSON object:
+A document is a JSON object, and every object in it carries exactly the
+keys shown (_KEYS lists them), except that "weights", "transform",
+"provenance" and a conv's "stride" may be left out:
 
     {
       "schema_version": 1,
@@ -13,20 +15,20 @@ A document is a JSON object:
           {"kind": "fully_connected", "units": U}
         ]
       },
-      "weights": { ... }?,        optional
-      "transform": { ... }?       present on transformed documents
+      "weights": {"mode": "inline", "arrays": {"<layer index>": [flat floats...]}}
+              or {"mode": "sidecar", "path": "relative/file.bin",
+                  "lengths": {"<layer index>": count}},
+      "transform": {"source": name,
+                    "input_map": {"stride": s, "entries": [[k, p, q], ...]}}
     }
 
-Weights are either inline ({"mode": "inline", "arrays": {"<layer index>":
-[flat floats...]}}) or a sidecar reference ({"mode": "sidecar", "path":
-"relative/file.bin", "lengths": {"<layer index>": count}}), the path
-relative to the document's directory.  The sidecar is raw little-endian
-float64, layers concatenated in index order.  Inline decimal values
-round-trip bit-exactly (shortest-repr floats); sidecars are the raw bytes,
-so both modes reload to identical arrays.  A layer-index key is the
-canonical decimal str(i) of a parameterized layer, in "arrays" and in
-"lengths" alike: "00", "+0" or " 0" is rejected, so no two keys can name one
-layer.
+A sidecar "path" is relative to the document's directory, and the file it
+names is raw little-endian float64, layers concatenated in index order.
+Inline decimal values round-trip bit-exactly (shortest-repr floats);
+sidecars are the raw bytes, so both modes reload to identical arrays.  A
+layer-index key is the canonical decimal str(i) of a parameterized layer,
+in "arrays" and in "lengths" alike: "00", "+0" or " 0" is rejected, so no
+two keys can name one layer.
 
 The written layout is part of the format, and the writer keeps it byte for
 byte: the text json.dumps(document, indent=1) gives, plus a final newline.
@@ -36,34 +38,24 @@ only with every other character escaped as \\uXXXX, integers without a
 decimal point, and non-finite weights spelled NaN, Infinity and -Infinity,
 as Python's json module reads and writes them.
 
-The transform block links a transformed document to its source:
-{"source": name, "input_map": {"stride": s, "entries": [[k, p, q], ...]}}.
-The rewrite writes the entries in source-major order (channel_entries), but
-any complete enumeration of the (k, p, q) triples is read, since the
-transformed network's first conv can read its input channels in any order.
-Documents written by earlier versions also carry "flatten_permutation":
-[0-based indices]; it is still read, and must be the identity, since the
-rewrite never reorders the flattened features.
+The transform block links a transformed document to its source.  The
+rewrite writes the input map's entries in source-major order
+(channel_entries), but any complete enumeration of the (k, p, q) triples is
+read, since the transformed network's first conv can read its input
+channels in any order.
 
-Documents written by earlier versions may also give a dense layer
-"input_permutation": [0-based indices], one per feature the layer reads:
-column j of its weights meets flattened feature input_permutation[j].  The
-list is read and checked (each index in [0, features)), folded into the
-weight columns at load, and never written: W2 = zeros, then
-np.add.at(W2, (:, perm), W) gives v @ W2.T == v[perm] @ W.T, so the layer
-computes the same function up to summation order.  An architecture-only
-document's list is checked, then dropped.
-
-Every integer field (channels_out, kernel, stride, units, input_shape,
-input_permutation, the input map's stride and entries, sidecar lengths) must
-be a JSON integer: floats and booleans are rejected, not coerced, and
-sidecar lengths must not be negative.  A sidecar must hold exactly 8 bytes
-per value the lengths declare, with no trailing bytes.  The document, its
-network and each layer may carry only the keys shown above (a layer only
-those of its kind), no object may repeat a key, "provenance" must be a
-string, and inline weight arrays must be flat lists of JSON numbers, none
-beyond float64: an integer too large, or a decimal such as 1e400 that json
-reads as infinity, is rejected, while NaN, Infinity and -Infinity load.
+Every integer field (channels_out, kernel, stride, units, input_shape, the
+input map's stride and entries, sidecar lengths) must be a JSON integer:
+floats and booleans are rejected, not coerced, and sidecar lengths must not
+be negative.  A sidecar must hold exactly 8 bytes per value the lengths
+declare, with no trailing bytes.  A key not shown for its object (a
+layer's of another kind, a weights block's of the other mode, or the dense
+"input_permutation" and transform "flatten_permutation" that earlier
+versions wrote) is rejected, as is a key repeated within one object.
+"provenance" must be a string, and inline weight arrays must be flat lists
+of JSON numbers, none beyond float64: an integer too large, or a decimal
+such as 1e400 that json reads as infinity, is rejected, while NaN, Infinity
+and -Infinity load.
 """
 
 from __future__ import annotations
@@ -138,19 +130,30 @@ def _reject_unknown(obj, known, where):
         raise SpecFormatError(f"{where}: unknown field {unknown[0]!r}")
 
 
-_LAYER_KEYS = {
-    "conv": {"kind", "channels_out", "kernel", "stride"},
-    "activation": {"kind", "function"},
-    "fully_connected": {"kind", "units", "input_permutation"},
+# the keys save_document writes, the only ones each object may carry
+_KEYS = {
+    "document": {"schema_version", "network", "weights", "transform"},
+    "network": {"name", "provenance", "input_shape", "layers"},
+    "layer": {
+        "conv": {"kind", "channels_out", "kernel", "stride"},
+        "activation": {"kind", "function"},
+        "fully_connected": {"kind", "units"},
+    },
+    "weights": {
+        "inline": {"mode", "arrays"},
+        "sidecar": {"mode", "path", "lengths"},
+    },
+    "transform": {"source", "input_map"},
+    "transform.input_map": {"stride", "entries"},
 }
 
 
 def _layer_from_json(i, obj):
     where = f"layer {i}"
     kind = _require(obj, "kind", str, where)
-    if kind not in _LAYER_KEYS:
+    if kind not in _KEYS["layer"]:
         raise SpecFormatError(f"{where}: unknown kind {kind!r}")
-    _reject_unknown(obj, _LAYER_KEYS[kind], f"{where} ({kind})")
+    _reject_unknown(obj, _KEYS["layer"][kind], f"{where} ({kind})")
     if kind == "conv":
         return ConvLayer(
             channels_out=_require(obj, "channels_out", int, where),
@@ -159,8 +162,7 @@ def _layer_from_json(i, obj):
         )
     if kind == "activation":
         return ActivationLayer(function=_require(obj, "function", str, where))
-    if kind == "fully_connected":
-        return FullyConnectedLayer(units=_require(obj, "units", int, where))
+    return FullyConnectedLayer(units=_require(obj, "units", int, where))
 
 
 def _layer_to_json(layer) -> dict:
@@ -177,7 +179,7 @@ def _layer_to_json(layer) -> dict:
 
 
 def _network_from_json(obj) -> NetworkSpec:
-    _reject_unknown(obj, {"name", "provenance", "input_shape", "layers"}, "network")
+    _reject_unknown(obj, _KEYS["network"], "network")
     name = _require(obj, "name", str, "network")
     provenance = (
         _require(obj, "provenance", str, "network") if "provenance" in obj else "original"
@@ -198,33 +200,14 @@ def _network_from_json(obj) -> NetworkSpec:
         raise SpecFormatError(f"network: {e}") from None
 
 
-def _input_permutations(network: NetworkSpec, layers_json) -> dict:
-    """Layer index -> the "input_permutation" list of each dense layer that
-    carries one, checked against the number of features the layer reads."""
-    perms = {
-        i: _ints(l["input_permutation"], f"layer {i}: input_permutation")
-        for i, l in enumerate(layers_json)
-        if "input_permutation" in l
-    }
-    if not perms:
-        return perms
-    # walked only here and outside _network_from_json's error conversion, so
-    # that a geometry error keeps its exit code whether or not the key is set
-    wshapes = [wshape for _, _, wshape in _walk(network)]
-    for i, perm in perms.items():
-        feats = wshapes[i][1]
-        if len(perm) != feats or not all(0 <= v < feats for v in perm):
-            raise SpecFormatError(
-                f"layer {i}: input_permutation must hold {feats} indices in [0, {feats})"
-            )
-    return perms
-
-
-def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> NetworkSpec:
+def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
     expected = {
         i: wshape for i, (_, _, wshape) in enumerate(_walk(network)) if wshape is not None
     }
     mode = _require(wobj, "mode", str, "weights")
+    if mode not in _KEYS["weights"]:
+        raise SpecFormatError(f"weights: unknown mode {mode!r}")
+    _reject_unknown(wobj, _KEYS["weights"][mode], f"weights ({mode})")
     flats: dict[int, np.ndarray] = {}
     if mode == "inline":
         arrays = _require(wobj, "arrays", dict, "weights")
@@ -244,7 +227,7 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
                 if v is not _CONSTANTS["Infinity"] and v is not _CONSTANTS["-Infinity"]:
                     raise SpecFormatError(beyond)
             flats[idx] = flat
-    elif mode == "sidecar":
+    else:
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
         counts = {
@@ -266,8 +249,6 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
         for idx in sorted(counts):
             flats[idx] = blob[pos : pos + counts[idx]]
             pos += counts[idx]
-    else:
-        raise SpecFormatError(f"weights: unknown mode {mode!r}")
 
     layers = list(network.layers)
     for idx, flat in flats.items():
@@ -277,12 +258,7 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path, perms: dict) -> N
                 f"weights: layer {idx} has {flat.size} values, shape {want} "
                 f"needs {math.prod(want)}"
             )
-        w = flat.reshape(want)
-        if idx in perms:
-            # v @ w.T == v[perm] @ read.T: column j moves to column perm[j]
-            w, read = np.zeros_like(w), w
-            np.add.at(w, (slice(None), list(perms[idx])), read)
-        layers[idx] = replace(layers[idx], weights=w)
+        layers[idx] = replace(layers[idx], weights=flat.reshape(want))
     return replace(network, layers=tuple(layers))
 
 
@@ -302,16 +278,13 @@ def _weight_index(key: str, expected: dict) -> int:
 
 
 def _transform_from_json(obj) -> TransformMetadata:
+    _reject_unknown(obj, _KEYS["transform"], "transform")
     source = _require(obj, "source", str, "transform")
     imap = _require(obj, "input_map", dict, "transform")
+    _reject_unknown(imap, _KEYS["transform.input_map"], "transform.input_map")
     entries = _require(imap, "entries", list, "transform.input_map")
     stride = _require(imap, "stride", int, "transform.input_map")
     entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
-    if "flatten_permutation" in obj:
-        # written by earlier versions; the rewrite keeps the flatten order
-        perm = _ints(obj["flatten_permutation"], "transform: flatten_permutation")
-        if perm != tuple(range(len(perm))):
-            raise SpecFormatError("transform: flatten_permutation must be the identity")
     try:
         return TransformMetadata(source, ChannelMap(stride=stride, entries=entries))
     except (ValueError, TypeError) as e:
@@ -353,14 +326,12 @@ def load_document(path) -> SpecDocument:
         raise SpecFormatError(
             f"{path}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
-    _reject_unknown(raw, {"schema_version", "network", "weights", "transform"}, str(path))
-    nobj = _require(raw, "network", dict, str(path))
-    network = _network_from_json(nobj)
-    perms = _input_permutations(network, nobj["layers"])
+    _reject_unknown(raw, _KEYS["document"], str(path))
+    network = _network_from_json(_require(raw, "network", dict, str(path)))
     mode = None
     if "weights" in raw:
         wobj = _require(raw, "weights", dict, str(path))
-        network = _attach_weights(network, wobj, path.parent, perms)
+        network = _attach_weights(network, wobj, path.parent)
         mode = wobj["mode"]
     meta = None
     if "transform" in raw:

@@ -20,8 +20,8 @@ transformed convolution maps one such representation to the next with stride
 is the (p, q, sigma_in) sample of H[c, k] after prepending (m-1)s zero rows
 and (n-1)s zero columns, zero-padded bottom/right to the common piece shape
 h_in/sigma_in - h_out/sigma_out + 1 per axis.  Rows and columns never meet
-in it, so it is one 1-D rule per axis (_axis_offsets; _piece_window below
-applies both axes' rules at once): with every offset 0-based, piece
+in it, so it is one 1-D rule per axis (_piece_window below applies both
+axes' rules at once): with every offset 0-based, piece
 position r from input grid p to output grid m holds kernel entry
 r*sigma_in + p - m*s where that lies inside the kernel, and a padding zero
 elsewhere.  The 2-D map combines the row and column rules, so piece
@@ -79,11 +79,11 @@ class ChannelMap:
 
     entries[i] = (source_channel k, row_offset p, col_offset q), all 1-based:
     new channel i holds the (p, q, stride) grid sample of source channel k.
-    The entries must be integer triples that enumerate every (k, p, q)
-    combination exactly once; a float or a bool is refused, not truncated.
-    Their source-major positions, and whether they are in source-major
-    order, are cached privately, not as fields, so ==, hash and repr see
-    only stride and entries.
+    The stride must be an integer, and the entries integer triples that
+    enumerate every (k, p, q) combination exactly once; a float or a bool is
+    refused, not truncated.  Their source-major positions, and whether they
+    are in source-major order, are cached privately, not as fields, so ==,
+    hash and repr see only stride and entries.
     """
 
     stride: int
@@ -91,13 +91,13 @@ class ChannelMap:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
-        if self.stride < 1:
-            raise ValueError(f"stride must be at least 1, got {self.stride}")
+        # bool is a subclass of int and 1.0 == 1, so the types are checked
+        if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
         if not self.entries:
             raise ValueError("channel map needs at least one entry")
         channels, rest = divmod(len(self.entries), self.stride**2)
-        # the sorted entries of a complete cover are the source-major ones;
-        # bool is a subclass of int and 1.0 == 1, so the types are checked
+        # the sorted entries of a complete cover are the source-major ones
         types = set(map(type, itertools.chain.from_iterable(self.entries)))
         source_major = channel_entries(channels, self.stride)
         if (
@@ -242,18 +242,6 @@ def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
         strides=(sc, -stride * sr, -stride * st, sk, sr, st, sig_in * sr, sig_in * st),
     )
     return window.reshape(cout * sig_out**2, cin * sig_in**2, ph, pw)
-
-
-def _axis_offsets(kernel: int, stride: int, sig_in: int, piece: int) -> np.ndarray:
-    """The 1-D source rule along one axis: an int64 array of shape
-    (sig_in // stride, sig_in, piece) whose entry [m, p, r] is the kernel
-    offset r*sig_in + p - m*stride when it lies in [0, kernel), and -1 for a
-    padding zero.  It is _piece_window over one row of offsets: a one-column
-    kernel, whose column rule is the identity at n = q = t = 0."""
-    offsets = np.arange(kernel, dtype=np.int64).reshape(1, 1, kernel, 1)
-    sig_out = sig_in // stride
-    pieces = _piece_window(offsets, -1, stride, sig_in, (piece, 1))
-    return pieces.reshape(sig_out, sig_out, sig_in, sig_in, piece)[:, 0, :, 0]
 
 
 def _conv_sources(cin, layer: ConvLayer, sig_in, piece):

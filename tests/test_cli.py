@@ -84,8 +84,7 @@ def test_transform_divisibility_error_exit3(tmp_path, capsys):
 
 
 def test_transform_geometry_error_exit3(tmp_path, capsys):
-    # (4 - 3) % 2 != 0: the layer walk itself rejects the conv, with or
-    # without a dense input_permutation that makes the reader walk the network
+    # (4 - 3) % 2 != 0: the layer walk itself rejects the conv
     raw = {
         "schema_version": 1,
         "network": {"name": "g", "input_shape": [1, 4, 4], "layers": [
@@ -94,13 +93,10 @@ def test_transform_geometry_error_exit3(tmp_path, capsys):
         ]},
     }
     p = tmp_path / "g.json"
-    for perm in (None, [0, 1]):
-        if perm is not None:
-            raw["network"]["layers"][1]["input_permutation"] = perm
-        p.write_text(json.dumps(raw))
-        rc = main(["transform", str(p), str(tmp_path / "o.json")])
-        assert rc == 3
-        assert "layer 0" in capsys.readouterr().err
+    p.write_text(json.dumps(raw))
+    rc = main(["transform", str(p), str(tmp_path / "o.json")])
+    assert rc == 3
+    assert "layer 0" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 
 
@@ -128,7 +124,7 @@ def test_transform_invalid_document_exit2(tmp_path, capsys):
     # no object repeats a key
     text = (FIXTURES / "lenet.json").read_text()
     bad.append(text.replace('"stride": 2}', '"stride": 2, "stride": 1}').encode())
-    # a dense input_permutation holds one index in [0, 800) per feature of layer 6
+    # earlier versions' dense input_permutation, whatever it holds
     for perm in (list(range(799)) + [800], [-1] + list(range(799)), list(range(799))):
         raw = json.loads((FIXTURES / "lenet.json").read_text())
         raw["network"]["layers"][6]["input_permutation"] = perm
@@ -312,20 +308,14 @@ def _with_flatten_permutation(pair, tmp_path, perm):
     return p
 
 
-def test_verify_reads_earlier_identity_flatten_permutation(pair, tmp_path, capsys):
+def test_verify_rejects_flatten_permutation(pair, tmp_path, capsys):
+    # earlier versions wrote it; the identity is rejected like any other list
     feats = 3 * 3 * 3  # conv 3 @ 2x2 stride 2 over 6x6
-    p = _with_flatten_permutation(pair, tmp_path, list(range(feats)))
-    assert load_document(p).transform.source == "tiny"
-    rc = main(["verify", str(pair / "orig.json"), str(p), "--trials", "5"])
-    assert rc == 0
-    assert "PASS" in capsys.readouterr().out
-
-
-def test_verify_rejects_non_identity_flatten_permutation(pair, tmp_path, capsys):
-    p = _with_flatten_permutation(pair, tmp_path, list(reversed(range(27))))
-    rc = main(["verify", str(pair / "orig.json"), str(p)])
-    assert rc == 2
-    assert "identity" in capsys.readouterr().err
+    for perm in (list(range(feats)), list(reversed(range(feats)))):
+        p = _with_flatten_permutation(pair, tmp_path, perm)
+        rc = main(["verify", str(pair / "orig.json"), str(p)])
+        assert rc == 2
+        assert "'flatten_permutation'" in capsys.readouterr().err
 
 
 def test_verify_requires_transform_metadata(pair, capsys):

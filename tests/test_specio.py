@@ -1,6 +1,7 @@
+import importlib
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from destride import (
     save_document,
     transform_network,
 )
+from destride import specio
 from oracles import document_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _networks_equal(a: NetworkSpec, b: NetworkSpec) -> bool:
@@ -205,6 +208,82 @@ def test_load_rejects_unknown_document_and_network_keys(tmp_path):
         load_document(p)
 
 
+# rectangular input and kernels, strides 2, 3 and 1
+RECT = NetworkSpec(
+    "rect",
+    (2, 24, 30),
+    (ConvLayer(3, (2, 8), 2), ActivationLayer("relu"), ConvLayer(4, (3, 6), 3),
+     ActivationLayer("relu"), ConvLayer(2, (1, 2), 1), FullyConnectedLayer(3)),
+)
+
+
+def _written_documents(tmp_path, spec):
+    """(path, weights mode, parsed text) of spec's original and transformed
+    documents, each saved with no weights, inline and sidecar."""
+    result = transform_network(spec)
+    transformed = SpecDocument(
+        network=result.network,
+        transform=TransformMetadata(source=spec.name, input_map=result.input_map),
+    )
+    for name, doc in (("orig", SpecDocument(network=spec)), ("tr", transformed)):
+        for mode in (None, "inline", "sidecar"):
+            p = tmp_path / f"{spec.name}-{name}-{mode}.json"
+            save_document(p, doc, weights_mode=mode)
+            yield p, mode, json.loads(p.read_text())
+
+
+def _objects(raw):
+    """(object, its entry in the reader's key table) for every object of a
+    parsed document that the table closes."""
+    keys = specio._KEYS
+    yield raw, keys["document"]
+    yield raw["network"], keys["network"]
+    for layer in raw["network"]["layers"]:
+        yield layer, keys["layer"][layer["kind"]]
+    if "weights" in raw:
+        yield raw["weights"], keys["weights"][raw["weights"]["mode"]]
+    if "transform" in raw:
+        yield raw["transform"], keys["transform"]
+        yield raw["transform"]["input_map"], keys["transform.input_map"]
+
+
+def test_written_keys_are_exactly_the_read_keys(tmp_path, lenet):
+    # the writer emits every key of each object's table entry (a document
+    # only the blocks it holds), and the reader rejects one key more by name;
+    # LeNet's inline documents, megabytes of text each, hold no kind of
+    # object that RECT's do not, so only their keys are compared
+    for spec in (lenet, init_params(RECT, seed=0)):
+        for p, mode, raw in _written_documents(tmp_path, spec):
+            for obj, keys in _objects(raw):
+                held = keys - ({"weights", "transform"} - set(raw)) if obj is raw else keys
+                assert set(obj) == held, (p.name, sorted(obj))
+                if spec is lenet and mode == "inline":
+                    continue
+                obj["extra"] = 0
+                p.write_text(json.dumps(raw))
+                with pytest.raises(SpecFormatError, match="unknown field 'extra'"):
+                    load_document(p)
+                del obj["extra"]
+
+
+def test_benchmark_reference_documents_load(tmp_path, lenet, monkeypatch):
+    # the benchmark writes its original documents without destride.specio
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    reference = importlib.import_module("reference")
+    for spec in (lenet, init_params(RECT, seed=0)):
+        save_document(tmp_path / "arch.json", SpecDocument(network=spec))
+        layers = json.loads((tmp_path / "arch.json").read_text())["network"]["layers"]
+        weights = {i: l.weights for i, l in enumerate(spec.layers)
+                   if getattr(l, "weights", None) is not None}
+        net = reference.Net(spec.name, spec.input_shape, layers, weights)
+        for mode in ("inline", "sidecar"):
+            p = tmp_path / f"{spec.name}-{mode}.json"
+            reference.write_document(p, net, mode)
+            doc = load_document(p)
+            assert doc.weights_mode == mode
+            assert _networks_equal(doc.network, spec)
+
+
 def test_load_rejects_non_string_provenance(tmp_path):
     p = tmp_path / "x.json"
     for provenance in (5, None, ["original"]):
@@ -241,9 +320,7 @@ def test_load_rejects_bad_layer_values(tmp_path):
         if weights is not None:
             raw["weights"] = {"mode": "inline", "arrays": {"0": weights}}
         if transform is not None:
-            # flatten_permutation as earlier versions wrote it
-            raw["transform"] = {"source": "m", "input_map": transform,
-                                "flatten_permutation": [0, 1]}
+            raw["transform"] = {"source": "m", "input_map": transform}
         return raw
 
     conv = {"kind": "conv", "channels_out": 2, "kernel": [2, 2], "stride": 2}
@@ -255,7 +332,7 @@ def test_load_rejects_bad_layer_values(tmp_path):
         doc([conv], input_shape=(1, 4.9, 4)),
         doc([{**conv, "channels_out": True}]),
         doc([conv, {**dense, "input_permutation": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]}]),
-        # one index per feature the dense layer reads (8), each in [0, 8)
+        # earlier versions' dense input_permutation, whatever it holds
         doc([conv, {**dense, "input_permutation": None}]),
         doc([conv, {**dense, "input_permutation": [0, 1, 2, 3, 4]}]),
         doc([conv, {**dense, "input_permutation": [0, 1, 2, 3, 4, 5, 6, 8]}]),
@@ -329,29 +406,20 @@ def test_decimal_beyond_float64_is_rejected_but_spelled_constants_load(tmp_path)
         assert np.signbit(got.flat[3]) == np.signbit(want)
 
 
-def test_input_permutation_is_folded_at_load_and_never_written(tmp_path):
-    # as earlier versions wrote it: column j of the dense weights meets flat
-    # element perm[j] of the 3x3x3 feature map
+def test_input_permutation_is_an_unknown_field(tmp_path):
+    # earlier versions gave a dense layer the order of the features it reads;
+    # the layer has no such field, and the reader no longer folds the list
+    # into the weights but rejects it, with weights or without
+    assert [f.name for f in fields(FullyConnectedLayer)] == ["units", "weights"]
     spec = _small_net(seed=7)
-    perm = np.random.default_rng(8).permutation(27)
-    x = np.random.default_rng(9).standard_normal((5, 2, 6, 6))
-    features = forward(replace(spec, layers=spec.layers[:2]), x)
-    want = features[:, perm] @ spec.layers[2].weights.T
     for mode in ("inline", "sidecar", None):
         p = tmp_path / f"{mode}.json"
         save_document(p, SpecDocument(network=spec), weights_mode=mode)
         raw = json.loads(p.read_text())
-        raw["network"]["layers"][2]["input_permutation"] = perm.tolist()
+        raw["network"]["layers"][2]["input_permutation"] = list(range(27))
         p.write_text(json.dumps(raw))
-        net = load_document(p).network
-        if mode is None:
-            assert net.layers[2].weights is None  # checked, then dropped
-        else:
-            assert np.max(np.abs(forward(net, x) - want)) <= 1e-13 * np.max(np.abs(want))
-        again = tmp_path / f"again-{mode}.json"
-        save_document(again, load_document(p), weights_mode=mode)
-        assert "input_permutation" not in again.read_text()
-        assert _networks_equal(load_document(again).network, net)
+        with pytest.raises(SpecFormatError, match="layer 2 .*'input_permutation'"):
+            load_document(p)
 
 
 def test_inline_weights_wrong_length(tmp_path):

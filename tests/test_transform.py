@@ -14,7 +14,6 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     RaggedSamplingError,
-    SpecDocument,
     conv2d,
     conv_multichannel,
     destride_layer,
@@ -25,12 +24,11 @@ from destride import (
     reshape_input,
     sample_matrix,
     sampled_conv_identity,
-    save_document,
     transform_network,
     verify_equivalence,
 )
 from destride.selftest import _random_conv_stack
-from destride.transform import _axis_offsets
+from destride.transform import _piece_window
 
 from oracles import (
     axis_offsets,
@@ -180,8 +178,11 @@ def test_channel_map_validates_bijection():
         ChannelMap(2, _entries(2, 2) + [(3, 1, 1)])  # not a multiple of 4
     # any order of a complete cover is a valid map
     ChannelMap(2, _entries(2, 2)[::-1])
-    with pytest.raises(ValueError):
-        ChannelMap(0, ((1, 1, 1),))
+    # the stride is an integer of at least 1 by the entries' exact-type rule
+    for stride, entries in ((0, ((1, 1, 1),)), (2.0, _entries(1, 2)), (True, ((1, 1, 1),)),
+                            (np.True_, ((1, 1, 1),))):
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            ChannelMap(stride, entries)
     # each of these has a full-cover length, and is refused with one message
     for entries in (
         ((1, 1),),
@@ -201,6 +202,7 @@ def test_channel_map_validates_bijection():
             ChannelMap(stride, entries)
     # numpy integers are integers
     assert ChannelMap(1, ((np.int64(1), 1, 1),)).positions.tolist() == [0]
+    assert ChannelMap(np.int64(2), _entries(1, 2)).positions.tolist() == [0, 1, 2, 3]
 
 
 def test_channel_map_sampling_spec():
@@ -423,28 +425,6 @@ def test_transform_equivalence_small_nets():
         )
 
 
-def test_transform_absorbs_existing_fc_permutation(tmp_path):
-    # a document whose dense layer reads its input permuted, as earlier
-    # versions wrote it: column j of the weights meets flat element perm[j]
-    r = np.random.default_rng(29)
-    feats = 2 * 3 * 3
-    perm = r.permutation(feats)
-    plain = init_params(
-        NetworkSpec("permuted", (1, 6, 6), (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4))),
-        seed=13,
-    )
-    p = tmp_path / "permuted.json"
-    save_document(p, SpecDocument(network=plain), weights_mode="inline")
-    raw = json.loads(p.read_text())
-    raw["network"]["layers"][1]["input_permutation"] = perm.tolist()
-    p.write_text(json.dumps(raw))
-    spec = load_document(p).network
-    result = transform_network(spec)
-    report = verify_equivalence(spec, result.network, result.input_map,
-                                trials=10, tol=1e-9, seed=5)
-    assert report.passed
-
-
 def test_transform_divisibility_failure_names_layer():
     spec = NetworkSpec(
         "indivisible-28",
@@ -545,7 +525,12 @@ def test_axis_offsets_match_oracle():
                 sigma_in = sigma_out * stride
                 longest = -(-(kernel + (sigma_out - 1) * stride) // sigma_in)
                 for piece in range(1, longest + 2):
-                    got = _axis_offsets(kernel, stride, sigma_in, piece)
+                    # the rewrite's window over a one-column kernel of its
+                    # offsets, whose column rule is the identity at n = q = t = 0
+                    offsets = np.arange(kernel, dtype=np.int64).reshape(1, 1, kernel, 1)
+                    window = _piece_window(offsets, -1, stride, sigma_in, (piece, 1))
+                    got = window.reshape(sigma_out, sigma_out, sigma_in, sigma_in, piece)
+                    got = got[:, 0, :, 0]
                     assert got.dtype == np.int64
                     assert np.array_equal(
                         got, axis_offsets(kernel, stride, sigma_in, piece)
