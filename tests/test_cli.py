@@ -308,14 +308,28 @@ def _with_flatten_permutation(pair, tmp_path, perm):
     return p
 
 
-def test_verify_rejects_flatten_permutation(pair, tmp_path, capsys):
-    # earlier versions wrote it; the identity is rejected like any other list
+def test_verify_reads_earlier_identity_flatten_permutation(pair, tmp_path, capsys):
+    # earlier versions wrote the identity; the reader rejects it by name like
+    # any other list, and the same document without the key verifies
     feats = 3 * 3 * 3  # conv 3 @ 2x2 stride 2 over 6x6
-    for perm in (list(range(feats)), list(reversed(range(feats)))):
-        p = _with_flatten_permutation(pair, tmp_path, perm)
-        rc = main(["verify", str(pair / "orig.json"), str(p)])
-        assert rc == 2
-        assert "'flatten_permutation'" in capsys.readouterr().err
+    p = _with_flatten_permutation(pair, tmp_path, list(range(feats)))
+    rc = main(["verify", str(pair / "orig.json"), str(p)])
+    assert rc == 2
+    assert "'flatten_permutation'" in capsys.readouterr().err
+    raw = json.loads(p.read_text())
+    del raw["transform"]["flatten_permutation"]
+    p.write_text(json.dumps(raw))
+    assert load_document(p).transform.source == "tiny"
+    rc = main(["verify", str(pair / "orig.json"), str(p), "--trials", "5"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_identity_flatten_permutation(pair, tmp_path, capsys):
+    p = _with_flatten_permutation(pair, tmp_path, list(reversed(range(27))))
+    rc = main(["verify", str(pair / "orig.json"), str(p)])
+    assert rc == 2
+    assert "'flatten_permutation'" in capsys.readouterr().err
 
 
 def test_verify_requires_transform_metadata(pair, capsys):

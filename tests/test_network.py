@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,11 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     RaggedSamplingError,
+    SpecFormatError,
     forward,
     infer_shapes,
     init_params,
+    load_document,
     parameter_report,
     transform_network,
     verify_equivalence,
@@ -144,6 +149,30 @@ def test_forward_relu_clamps_all_negative_responses():
     )
     x = np.abs(np.random.default_rng(42).standard_normal((1, 2, 2))) + 0.1
     assert np.array_equal(forward(spec, x), np.zeros(4))
+
+
+def test_forward_applies_input_permutation(tmp_path):
+    # a dense layer whose column j reads flat element perm[j] holds the
+    # permutation in its weight columns; documents no longer spell it as a
+    # dense input_permutation, which earlier versions folded in at load
+    assert [f.name for f in fields(FullyConnectedLayer)] == ["units", "weights"]
+    perm, w = [2, 0, 1], np.array([1.0, 10.0, 100.0])
+    folded = np.zeros((1, 3))
+    folded[0, perm] = w
+    assert np.array_equal(folded, [[10.0, 100.0, 1.0]])
+    spec = NetworkSpec("p", (3, 1, 1), (FullyConnectedLayer(1, weights=folded),))
+    out = forward(spec, np.array([5.0, 7.0, 11.0]).reshape(3, 1, 1))
+    assert out[0] == 1.0 * 11.0 + 10.0 * 5.0 + 100.0 * 7.0
+    layer = {"kind": "fully_connected", "units": 1, "input_permutation": perm}
+    raw = {
+        "schema_version": 1,
+        "network": {"name": "p", "input_shape": [3, 1, 1], "layers": [layer]},
+        "weights": {"mode": "inline", "arrays": {"0": w.tolist()}},
+    }
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(SpecFormatError, match="layer 0 .*'input_permutation'"):
+        load_document(p)
 
 
 def test_forward_requires_weights():

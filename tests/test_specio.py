@@ -1,7 +1,7 @@
 import importlib
 import json
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -406,15 +406,15 @@ def test_decimal_beyond_float64_is_rejected_but_spelled_constants_load(tmp_path)
         assert np.signbit(got.flat[3]) == np.signbit(want)
 
 
-def test_input_permutation_is_an_unknown_field(tmp_path):
-    # earlier versions gave a dense layer the order of the features it reads;
-    # the layer has no such field, and the reader no longer folds the list
-    # into the weights but rejects it, with weights or without
-    assert [f.name for f in fields(FullyConnectedLayer)] == ["units", "weights"]
+def test_input_permutation_is_folded_at_load_and_never_written(tmp_path):
+    # earlier versions gave a dense layer the order of the features it reads,
+    # which the reader folded into the weights; it no longer folds the list
+    # but rejects it, with weights or without, and the writer never emits it
     spec = _small_net(seed=7)
     for mode in ("inline", "sidecar", None):
         p = tmp_path / f"{mode}.json"
         save_document(p, SpecDocument(network=spec), weights_mode=mode)
+        assert "input_permutation" not in p.read_text()
         raw = json.loads(p.read_text())
         raw["network"]["layers"][2]["input_permutation"] = list(range(27))
         p.write_text(json.dumps(raw))

@@ -14,6 +14,8 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     RaggedSamplingError,
+    SpecDocument,
+    SpecFormatError,
     conv2d,
     conv_multichannel,
     destride_layer,
@@ -24,6 +26,7 @@ from destride import (
     reshape_input,
     sample_matrix,
     sampled_conv_identity,
+    save_document,
     transform_network,
     verify_equivalence,
 )
@@ -423,6 +426,38 @@ def test_transform_equivalence_small_nets():
         assert all(
             l.stride == 1 for l in result.network.layers if isinstance(l, ConvLayer)
         )
+
+
+def test_transform_absorbs_existing_fc_permutation(tmp_path):
+    # a dense layer whose column j meets flat element perm[j] of the feature
+    # map, held in its weight columns: the rewrite reorders whatever columns
+    # it finds. Earlier versions also wrote the permutation into the document
+    # as a dense input_permutation, which the reader now rejects by name.
+    r = np.random.default_rng(29)
+    feats = 2 * 3 * 3
+    perm = r.permutation(feats)
+    plain = init_params(
+        NetworkSpec("permuted", (1, 6, 6), (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(4))),
+        seed=13,
+    )
+    conv, dense = plain.layers
+    folded = np.zeros_like(dense.weights)
+    folded[:, perm] = dense.weights
+    spec = replace(plain, layers=(conv, replace(dense, weights=folded)))
+    x = r.standard_normal((3, 1, 6, 6))
+    want = forward(NetworkSpec("c", (1, 6, 6), (conv,)), x)[:, perm] @ dense.weights.T
+    assert np.max(np.abs(forward(spec, x) - want)) <= REL_TOL * np.max(np.abs(want))
+    result = transform_network(spec)
+    report = verify_equivalence(spec, result.network, result.input_map,
+                                trials=10, tol=1e-9, seed=5)
+    assert report.passed
+    p = tmp_path / "permuted.json"
+    save_document(p, SpecDocument(network=plain), weights_mode="inline")
+    raw = json.loads(p.read_text())
+    raw["network"]["layers"][1]["input_permutation"] = perm.tolist()
+    p.write_text(json.dumps(raw))
+    with pytest.raises(SpecFormatError, match="layer 1 .*'input_permutation'"):
+        load_document(p)
 
 
 def test_transform_divisibility_failure_names_layer():
