@@ -61,6 +61,34 @@ _seed = _option_type(int, lambda v: v >= 0, "a non-negative integer")
 _tolerance = _option_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    # without indent, JSONEncoder.encode runs the C encoder
+    return json.JSONEncoder(separators=(",\n" + " " * depth, ": "))
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=1), byte for byte, for lists, tuples and
+    str-keyed dicts: the C encoder renders each container that holds no
+    other, with one value per line, and only the brackets of the others are
+    joined here."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        text = _flat_encoder(depth + 1).encode(obj)
+        return f"{text[0]}\n{' ' * (depth + 1)}{text[1:-1]}\n{' ' * depth}{text[-1]}"
+    items = [_json_text(v, depth + 1) for v in values]
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {v}" for k, v in zip(obj, items)]
+    inner = "\n" + " " * (depth + 1)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * depth}{brackets[1]}"
+
+
 def _shape_text(shape) -> str:
     if isinstance(shape, tuple):
         return "x".join(str(v) for v in shape)
@@ -147,7 +175,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        print(json.dumps(report.as_dict(), indent=1))
+        print(_json_text(report.as_dict()))
     else:
         print(
             f"{odoc.network.name} vs {tdoc.network.name}: "
@@ -218,7 +246,7 @@ def cmd_report(args) -> int:
         return 1
     rows = parameter_report(odoc.network, result.sources)
     if args.json:
-        print(json.dumps([r.as_dict() for r in rows], indent=1))
+        print(_json_text([r.as_dict() for r in rows]))
         return 0
     print(f"parameter sharing: {odoc.network.name} -> {tdoc.network.name}")
     print(f"{'layer':>5}  {'kind':<16} {'original':>9} {'stored':>9} {'padding':>9} {'distinct':>9} {'replication':>11}")

@@ -23,6 +23,19 @@ ACTIVATIONS = {
 }
 
 
+def _integer(value, field: str) -> int:
+    """value as an int: an int, a numpy integer or an integral float.  A bool
+    (an int subclass) or a float with a fraction is a ValueError naming the
+    field, rather than a silent 0/1 or a truncation."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ConvLayer:
     channels_out: int
@@ -31,7 +44,9 @@ class ConvLayer:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", tuple(int(v) for v in self.kernel))
+        object.__setattr__(self, "channels_out", _integer(self.channels_out, "channels_out"))
+        object.__setattr__(self, "kernel", tuple(_integer(v, "kernel") for v in self.kernel))
+        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
         kh, kw = self.kernel
         if self.channels_out < 1 or kh < 1 or kw < 1:
             raise ValueError(f"conv layer needs positive channels and kernel, got {self}")
@@ -56,6 +71,7 @@ class FullyConnectedLayer:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "units", _integer(self.units, "units"))
         if self.units < 1:
             raise ValueError(f"fully connected layer needs positive units, got {self.units}")
 
@@ -72,7 +88,9 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        object.__setattr__(
+            self, "input_shape", tuple(_integer(v, "input_shape") for v in self.input_shape)
+        )
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ValueError(f"input shape must be (channels, h, w) >= 1, got {self.input_shape}")
 

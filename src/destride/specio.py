@@ -60,10 +60,11 @@ and -Infinity load.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,19 +166,6 @@ def _layer_from_json(i, obj):
     return FullyConnectedLayer(units=_require(obj, "units", int, where))
 
 
-def _layer_to_json(layer) -> dict:
-    if isinstance(layer, ConvLayer):
-        return {
-            "kind": "conv",
-            "channels_out": int(layer.channels_out),
-            "kernel": [int(v) for v in layer.kernel],
-            "stride": int(layer.stride),
-        }
-    if isinstance(layer, ActivationLayer):
-        return {"kind": "activation", "function": layer.function}
-    return {"kind": "fully_connected", "units": int(layer.units)}
-
-
 def _network_from_json(obj) -> NetworkSpec:
     _reject_unknown(obj, _KEYS["network"], "network")
     name = _require(obj, "name", str, "network")
@@ -200,7 +188,10 @@ def _network_from_json(obj) -> NetworkSpec:
         raise SpecFormatError(f"network: {e}") from None
 
 
-def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
+def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> None:
+    """Read the weights block into network's layers.  They are the reader's
+    own, just built and not yet handed out, so each is given its weights in
+    place rather than built a second time."""
     expected = {
         i: wshape for i, (_, _, wshape) in enumerate(_walk(network)) if wshape is not None
     }
@@ -250,7 +241,6 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
             flats[idx] = blob[pos : pos + counts[idx]]
             pos += counts[idx]
 
-    layers = list(network.layers)
     for idx, flat in flats.items():
         want = expected[idx]
         if flat.size != math.prod(want):
@@ -258,8 +248,7 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> NetworkSpec:
                 f"weights: layer {idx} has {flat.size} values, shape {want} "
                 f"needs {math.prod(want)}"
             )
-        layers[idx] = replace(layers[idx], weights=flat.reshape(want))
-    return replace(network, layers=tuple(layers))
+        object.__setattr__(network.layers[idx], "weights", flat.reshape(want))
 
 
 def _weight_index(key: str, expected: dict) -> int:
@@ -284,7 +273,14 @@ def _transform_from_json(obj) -> TransformMetadata:
     _reject_unknown(imap, _KEYS["transform.input_map"], "transform.input_map")
     entries = _require(imap, "entries", list, "transform.input_map")
     stride = _require(imap, "stride", int, "transform.input_map")
-    entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
+    # one pass over lists of JSON integers, the entries a writer writes;
+    # anything else is checked entry by entry, for the message that names it
+    if set(map(type, entries)) <= {list} and set(
+        map(type, itertools.chain.from_iterable(entries))
+    ) <= {int}:
+        entries = tuple(map(tuple, entries))
+    else:
+        entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
     try:
         return TransformMetadata(source, ChannelMap(stride=stride, entries=entries))
     except (ValueError, TypeError) as e:
@@ -331,12 +327,52 @@ def load_document(path) -> SpecDocument:
     mode = None
     if "weights" in raw:
         wobj = _require(raw, "weights", dict, str(path))
-        network = _attach_weights(network, wobj, path.parent)
+        _attach_weights(network, wobj, path.parent)
         mode = wobj["mode"]
     meta = None
     if "transform" in raw:
         meta = _transform_from_json(_require(raw, "transform", dict, str(path)))
     return SpecDocument(network=network, transform=meta, weights_mode=mode)
+
+
+# The document skeleton, one format per object kind, as json.dumps(...,
+# indent=1) lays it out: one space per level of nesting, one value per line.
+# Integers go in through %d and strings through the C encoder's
+# encode_basestring_ascii, so every byte is the one json.dumps writes.
+_DOCUMENT = (
+    '{\n "schema_version": %d,\n "network": {\n  "name": %s,\n  "provenance": %s,\n'
+    '  "input_shape": [\n   %d,\n   %d,\n   %d\n  ],\n  "layers": %s\n }'
+)
+_CONV = (
+    '{\n    "kind": "conv",\n    "channels_out": %d,\n'
+    '    "kernel": [\n     %d,\n     %d\n    ],\n    "stride": %d\n   }'
+)
+_ACTIVATION = '{\n    "kind": "activation",\n    "function": %s\n   }'
+_DENSE = '{\n    "kind": "fully_connected",\n    "units": %d\n   }'
+_SIDECAR = ',\n "weights": {\n  "mode": "sidecar",\n  "path": %s,\n  "lengths": %s\n }'
+_TRANSFORM = (
+    ',\n "transform": {\n  "source": %s,\n  "input_map": {\n   "stride": %d,\n'
+    '   "entries": %s\n  }\n }'
+)
+_ENTRY = "[\n     %d,\n     %d,\n     %d\n    ]"
+_string = json.encoder.encode_basestring_ascii
+
+
+def _items(texts, depth: int, brackets="[]") -> str:
+    """A JSON array (or object) of already-rendered items at nesting depth
+    `depth`, laid out as json.dumps(..., indent=1) lays it out."""
+    if not texts:
+        return brackets
+    inner = "\n" + " " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}\n{' ' * depth}{brackets[1]}"
+
+
+def _layer_text(layer) -> str:
+    if isinstance(layer, ConvLayer):
+        return _CONV % (layer.channels_out, *layer.kernel, layer.stride)
+    if isinstance(layer, ActivationLayer):
+        return _ACTIVATION % _string(layer.function)
+    return _DENSE % layer.units
 
 
 def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None) -> None:
@@ -346,60 +382,46 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
     document's directory, which is where the reader looks it up."""
     path = Path(path)
     network = doc.network
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "network": {
-            "name": network.name,
-            "provenance": network.provenance,
-            "input_shape": [int(v) for v in network.input_shape],
-            "layers": [_layer_to_json(l) for l in network.layers],
-        },
-    }
+    # The skeleton is rendered from the closed schema (_KEYS): one format per
+    # object kind, no general-purpose encoder.  Inline weight arrays and the
+    # input map's entries are each one block of C-encoded or %-formatted text.
+    parts = [
+        _DOCUMENT % (
+            SCHEMA_VERSION, _string(network.name), _string(network.provenance),
+            *network.input_shape, _items([_layer_text(l) for l in network.layers], 2),
+        )
+    ]
     carrying = {
         i: l.weights
         for i, l in enumerate(network.layers)
         if getattr(l, "weights", None) is not None
     }
-    inline = {}
     if weights_mode is not None and carrying:
         if weights_mode == "inline":
-            inline = carrying
-            # placeholders, each replaced by its array's values below
-            out["weights"] = {"mode": "inline", "arrays": {str(i): [] for i in carrying}}
+            parts.append(',\n "weights": {\n  "mode": "inline",\n  "arrays": {')
+            for n, (i, w) in enumerate(carrying.items()):
+                parts += [',' if n else '', f'\n   "{i}": ', *_inline_array(w)]
+            parts.append("\n  }\n }")
         elif weights_mode == "sidecar":
             sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
-            blob = np.concatenate(
-                [carrying[i].ravel() for i in sorted(carrying)]
-            ).astype("<f8")
-            blob.tofile(sidecar)
-            out["weights"] = {
-                "mode": "sidecar",
-                "path": os.path.relpath(sidecar, path.parent),
-                "lengths": {str(i): int(carrying[i].size) for i in sorted(carrying)},
-            }
+            blob = np.concatenate([w.ravel() for w in carrying.values()]).astype("<f8")
+            with open(sidecar, "wb") as f:
+                f.write(blob)
+            lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
+            parts.append(_SIDECAR % (
+                _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}")
+            ))
         else:
             raise ValueError(f"unknown weights mode {weights_mode!r}")
     if doc.transform is not None:
-        meta = doc.transform
-        out["transform"] = {
-            "source": meta.source,
-            "input_map": {
-                "stride": meta.input_map.stride,
-                "entries": [list(e) for e in meta.input_map.entries],
-            },
-        }
-    # Only the small skeleton goes through the pure-Python encoder that
-    # indent=1 selects.  Strings are written with their newlines escaped, so
-    # a raw newline, three spaces and '"<i>": ' can only be a dict key at
-    # depth 3, and the only such keys that are layer indices are those of
-    # "arrays": each placeholder is found exactly, whatever the strings hold.
-    rest = json.dumps(out, indent=1)
-    parts = []
-    for i, w in inline.items():
-        key = f'\n   "{i}": '
-        head, _, rest = rest.partition(key + "[]")
-        parts += [head, key, *_inline_array(w)]
-    parts += [rest, "\n"]
+        imap = doc.transform.input_map
+        entries = ",\n    ".join([_ENTRY] * len(imap.entries)) % tuple(
+            itertools.chain.from_iterable(imap.entries)
+        )
+        parts.append(_TRANSFORM % (
+            _string(doc.transform.source), imap.stride, f"[\n    {entries}\n   ]"
+        ))
+    parts.append("\n}\n")
     with path.open("w", encoding="utf-8") as f:
         f.writelines(parts)
 

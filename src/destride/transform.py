@@ -90,27 +90,32 @@ class ChannelMap:
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
         # bool is a subclass of int and 1.0 == 1, so the types are checked
         if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
             raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
-        if not self.entries:
+        if not entries:
             raise ValueError("channel map needs at least one entry")
-        channels, rest = divmod(len(self.entries), self.stride**2)
-        # the sorted entries of a complete cover are the source-major ones
-        types = set(map(type, itertools.chain.from_iterable(self.entries)))
-        source_major = channel_entries(channels, self.stride)
-        if (
-            rest
-            or not all(t is int or issubclass(t, np.integer) for t in types)
-            or sorted(self.entries) != list(source_major)
-        ):
+        channels, rest = divmod(len(entries), self.stride**2)
+        types = set(map(type, itertools.chain.from_iterable(entries)))
+        if rest or not all(t is int or issubclass(t, np.integer) for t in types):
             raise ValueError("entries must cover every (channel, p, q) exactly once")
-        k, p, q = (np.array(self.entries) - 1).T
-        position = (k * self.stride + p) * self.stride + q
+        source_major = channel_entries(channels, self.stride)
+        # integer entries equal to the source-major ones are that cover, in
+        # that order, as every map the rewrite writes is: nothing to sort
+        in_order = entries == source_major
+        if in_order:
+            position = np.arange(len(entries))
+        else:
+            # the sorted entries of a complete cover are the source-major ones
+            if sorted(entries) != list(source_major):
+                raise ValueError("entries must cover every (channel, p, q) exactly once")
+            k, p, q = (np.array(entries) - 1).T
+            position = (k * self.stride + p) * self.stride + q
         position.flags.writeable = False
         object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_source_major", self.entries == source_major)
+        object.__setattr__(self, "_source_major", in_order)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ from destride import (
 )
 from destride import cli
 from destride.cli import main
+from test_transform import _random_net
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -376,6 +378,80 @@ def test_report_json_round_trips(tmp_path, capsys):
     conv_rows = [r for r in rows if r["kind"] == "conv"]
     assert [r["replication"] for r in conv_rows] == [16, 4, 4, 1]
     assert all(r["distinct_sources"] == r["original_count"] for r in rows)
+
+
+# sha256 of each output below, as written before the document writer and the
+# --json printers were rewritten: the same bytes, whichever code writes them
+GOLDEN_DIGESTS = {
+    "lenet-inline:original":
+        "03b461d0afeb362aa43270a7eaf2666edc5431e5437a4cf825625b518ab0ba1e",
+    "lenet-inline:document":
+        "1dacf5ff0431e6cc0492767629ed5d7fdff9d85d76380fa0b2c5f4ed5800106f",
+    "lenet-inline:verify":
+        "81a130187dbeaf2818f21ace388817592bd24b19f31ae74a7d160562ed7b00c2",
+    "lenet-inline:report":
+        "129193f419a4d9cab38b6f248e74470afbbbb7f2ad786d5c98d19d00066a1091",
+    "lenet-sidecar:original":
+        "9ad70f0509b5056954b6d14057ae3f22216b497670e73a09ad820ed3c46d93e3",
+    "lenet-sidecar:document":
+        "f7123aaabf7404f4a5c3ba4723b84f4fd08e7da20b24e255f4f08f06145d42ed",
+    "lenet-sidecar:verify":
+        "81a130187dbeaf2818f21ace388817592bd24b19f31ae74a7d160562ed7b00c2",
+    "lenet-sidecar:report":
+        "129193f419a4d9cab38b6f248e74470afbbbb7f2ad786d5c98d19d00066a1091",
+    "lenet-sidecar:original-sidecar":
+        "dbc324744976252fd48cf6f623b020396a29d186aafaae378fedbb7f0c10d151",
+    "lenet-sidecar:sidecar":
+        "f252c65a4842f957b9ffa6551b107368ab3a2bc35bffeed3a40d690d703c4320",
+    "random-inline:original":
+        "e531d1dfbaf553fbce27ce26a2e217f4dd3a9d475b5e45d9ccca1f7395881fa0",
+    "random-inline:document":
+        "eee00b487c4efa9a858dbfdd8cdfef4c4c4f5fb69cd7e02c4605f8e9442ae285",
+    "random-inline:verify":
+        "f3d7aeacbb9801d3d8e33a3861155146b7b98b274a190d87fc390a6c84483db6",
+    "random-inline:report":
+        "1cb4c332180195e1328bb37c13441744fc2d411bd7993abaa4df1632576d000b",
+    "random-sidecar:original":
+        "d140308ff042aa0c17fcb2744b0691096e30f176de5a182a31fe990771a00ed4",
+    "random-sidecar:document":
+        "71c4a32c62488adb8d09f93c61ee285ed3f191000319ff8206c295d01c8b6e39",
+    "random-sidecar:verify":
+        "f3d7aeacbb9801d3d8e33a3861155146b7b98b274a190d87fc390a6c84483db6",
+    "random-sidecar:report":
+        "1cb4c332180195e1328bb37c13441744fc2d411bd7993abaa4df1632576d000b",
+    "random-sidecar:original-sidecar":
+        "ae3bd5105eefa851f4e96584a72781625549976a0e8fdf063a230b059bb90772",
+    "random-sidecar:sidecar":
+        "5e658a6f7eb3c180ebfcf5b94dc422639640db2966689e8fbaf6581af4bdc1a0",
+}
+
+
+def test_outputs_keep_their_recorded_digests(tmp_path, capsys):
+    lenet = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    randoms = [init_params(_random_net(seed), seed=seed) for seed in range(10)]
+    got = {}
+    for group, nets in (("lenet", [lenet]), ("random", randoms)):
+        for mode in ("inline", "sidecar"):
+            digests = {k: hashlib.sha256() for k in ("original", "document", "verify", "report")}
+            if mode == "sidecar":
+                digests.update({k: hashlib.sha256() for k in ("original-sidecar", "sidecar")})
+            for spec in nets:
+                orig, trans = tmp_path / f"{spec.name}.json", tmp_path / f"{spec.name}-t.json"
+                save_document(orig, SpecDocument(network=spec), weights_mode=mode)
+                assert main(["transform", str(orig), str(trans)]) == 0
+                capsys.readouterr()
+                assert main(["verify", str(orig), str(trans), "--json", "--trials", "20",
+                             "--seed", "3"]) == 0
+                digests["verify"].update(capsys.readouterr().out.encode())
+                assert main(["report", str(orig), str(trans), "--json"]) == 0
+                digests["report"].update(capsys.readouterr().out.encode())
+                digests["original"].update(orig.read_bytes())
+                digests["document"].update(trans.read_bytes())
+                if mode == "sidecar":
+                    digests["original-sidecar"].update(orig.with_suffix(".weights.bin").read_bytes())
+                    digests["sidecar"].update(trans.with_suffix(".weights.bin").read_bytes())
+            got.update({f"{group}-{mode}:{k}": h.hexdigest() for k, h in digests.items()})
+    assert got == GOLDEN_DIGESTS
 
 
 def _edited_lenet_transform(tmp_path, edit):

@@ -106,6 +106,34 @@ def test_conv_layer_kernel_coerced_to_ints():
     assert isinstance(layer.kernel[0], int)
 
 
+def test_integer_fields_are_ints_or_refused_by_name():
+    # ints, numpy integers and integral floats are stored as int
+    conv = ConvLayer(np.int64(2), (np.int32(2), 2.0), 2.0)
+    dense = FullyConnectedLayer(np.float64(3.0))
+    spec = NetworkSpec("x", (np.int64(1), 4.0, 4), (conv, dense))
+    fields = [conv.channels_out, *conv.kernel, conv.stride, dense.units, *spec.input_shape]
+    assert fields == [2, 2, 2, 2, 3, 1, 4, 4]
+    assert {type(v) for v in fields} == {int}
+    assert infer_shapes(spec) == [(2, 2, 2), 3]
+    assert all(type(v) is int for v in infer_shapes(spec)[0])
+    assert transform_network(spec).network.input_shape == (4, 2, 2)
+    # a fraction or a bool is refused, not truncated or read as 0/1
+    for make, field in (
+        (lambda: ConvLayer(2, (2.7, 2)), "kernel"),
+        (lambda: ConvLayer(2, (2, True)), "kernel"),
+        (lambda: ConvLayer(2, (2, 2), 2.5), "stride"),
+        (lambda: ConvLayer(2, (2, 2), np.True_), "stride"),
+        (lambda: ConvLayer(True, (2, 2)), "channels_out"),
+        (lambda: ConvLayer(np.float64(1.5), (2, 2)), "channels_out"),
+        (lambda: FullyConnectedLayer(True), "units"),
+        (lambda: FullyConnectedLayer(3.5), "units"),
+        (lambda: NetworkSpec("x", (1.5, 4, 4), ()), "input_shape"),
+        (lambda: NetworkSpec("x", (1, False, 4), ()), "input_shape"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            make()
+
+
 def test_forward_matches_manual_evaluation():
     r = np.random.default_rng(40)
     spec = init_params(

@@ -9,6 +9,7 @@ import pytest
 
 from destride import (
     ActivationLayer,
+    ChannelMap,
     ConvLayer,
     FullyConnectedLayer,
     NetworkSpec,
@@ -380,6 +381,55 @@ def test_load_rejects_bad_layer_values(tmp_path):
             load_document(p)
 
 
+def _entry(edit):
+    return lambda raw: edit(raw["transform"]["input_map"]["entries"])
+
+
+def _field(i, key, value):
+    return lambda raw: raw["network"]["layers"][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_entry(lambda e: e[0].__setitem__(0, 1.0)),
+     "transform.input_map: entries: expected an integer, got 1.0"),
+    (_entry(lambda e: e[1].__setitem__(2, True)),
+     "transform.input_map: entries: expected an integer, got True"),
+    (_entry(lambda e: e[0].pop()),
+     "transform: entries must cover every (channel, p, q) exactly once"),
+    (_entry(lambda e: e[0].append(1)),
+     "transform: entries must cover every (channel, p, q) exactly once"),
+    (_entry(lambda e: e[2].__setitem__(1, [1])),
+     "transform.input_map: entries: expected an integer, got [1]"),
+    (_entry(lambda e: e.__setitem__(3, "1, 1, 1")),
+     "transform.input_map: entries: expected a list of integers, got '1, 1, 1'"),
+    (_field(0, "channels_out", 12.0), "layer 0: field 'channels_out': expected an integer, got 12.0"),
+    (_field(0, "channels_out", True), "layer 0: field 'channels_out': expected an integer, got True"),
+    (_field(0, "kernel", [1, 1.0]), "layer 0: kernel: expected an integer, got 1.0"),
+    (_field(0, "kernel", [True, 1]), "layer 0: kernel: expected an integer, got True"),
+    (_field(0, "stride", 1.0), "layer 0: stride: expected an integer, got 1.0"),
+    (_field(0, "stride", True), "layer 0: stride: expected an integer, got True"),
+    (_field(2, "units", 4.0), "layer 2: field 'units': expected an integer, got 4.0"),
+    (_field(2, "units", True), "layer 2: field 'units': expected an integer, got True"),
+], ids=[
+    "entry-float", "entry-bool", "entry-2-items", "entry-4-items", "entry-nested", "entry-string",
+    "channels_out-float", "channels_out-bool", "kernel-float", "kernel-bool", "stride-float",
+    "stride-bool", "units-float", "units-bool",
+])
+def test_malformed_transformed_values_keep_their_messages(tmp_path, edit, message):
+    # one value spoilt in the transformed document of _small_net, whose input
+    # map is source-major: each is refused with the message it always had
+    spec = _small_net()
+    result = transform_network(spec)
+    p = tmp_path / "t.json"
+    save_document(p, SpecDocument(result.network, TransformMetadata(spec.name, result.input_map)))
+    raw = json.loads(p.read_text())
+    edit(raw)
+    p.write_text(json.dumps(raw))
+    with pytest.raises(SpecFormatError) as e:
+        load_document(p)
+    assert str(e.value) == message
+
+
 def test_decimal_beyond_float64_is_rejected_but_spelled_constants_load(tmp_path):
     # json.loads turns 1e400 into an infinity; only the spelled Infinity and
     # -Infinity may load as one, and 1e-400 rounds to 0.0 as it should
@@ -515,7 +565,10 @@ def test_saved_bytes_equal_single_dumps_on_edge_cases(tmp_path):
     ).reshape(conv.weights.shape)
     ints = np.arange(-12, 12, dtype=np.int64).reshape(conv.weights.shape)
     imap = transform_network(spec).input_map
-    placeholders = ["[]", '\n   "0": []', '"0": []', '   "0": []\n']
+    shuffled = ChannelMap(imap.stride, imap.entries[1::2] + imap.entries[::2])
+    one = ChannelMap(1, [(1, 1, 1)])
+    placeholders = ["[]", '\n   "0": []', '"0": []', '   "0": []\n', '"entries": []', "]", "}",
+                    "\n", '\n   ]\n  }\n }']
     docs = [
         SpecDocument(network=_small_net()),
         SpecDocument(network=spec),
@@ -529,6 +582,15 @@ def test_saved_bytes_equal_single_dumps_on_edge_cases(tmp_path):
             network=replace(spec, name="r\u00e9seau \u7f51\u7edc \U0001f600", provenance="\u00fc"),
             transform=TransformMetadata(source="\u00df\u2028\x00", input_map=imap),
         ),
+        # an input map in another order than source-major, and one of one entry
+        SpecDocument(network=spec, transform=TransformMetadata(source="s", input_map=shuffled)),
+        SpecDocument(
+            network=NetworkSpec("one", (1, 3, 3), (ConvLayer(2, (3, 3)),)),
+            transform=TransformMetadata(source="s", input_map=one),
+        ),
+        # an architecture-only document with a transform block, and no layers
+        SpecDocument(network=_small_net(), transform=TransformMetadata("s", imap)),
+        SpecDocument(network=NetworkSpec("none", (1, 1, 1), ())),
     ]
     for text in placeholders:
         docs.append(SpecDocument(

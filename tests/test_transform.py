@@ -199,6 +199,11 @@ def test_channel_map_validates_bijection():
         ((1.0, 1, 1),),
         ((True, 1, 1),),
         ((1, np.True_, 1),),
+        # in source-major order, where an equality test with the map the
+        # rewrite writes would pass them: 1.0 == 1 and True == 1
+        _entries(2, 2)[:4] + [(2, 1, 1.0)] + _entries(2, 2)[5:],
+        _entries(2, 2)[:4] + [(2, 1, True)] + _entries(2, 2)[5:],
+        [(np.True_, 1, 1)] + _entries(2, 2)[1:],
     ):
         stride = 1 if len(entries) == 1 else 2
         with pytest.raises(ValueError, match=r"must cover every \(channel, p, q\) exactly once"):
@@ -206,6 +211,11 @@ def test_channel_map_validates_bijection():
     # numpy integers are integers
     assert ChannelMap(1, ((np.int64(1), 1, 1),)).positions.tolist() == [0]
     assert ChannelMap(np.int64(2), _entries(1, 2)).positions.tolist() == [0, 1, 2, 3]
+    # the source-major map's positions are 0, 1, ... and cannot be written
+    positions = ChannelMap(2, _entries(3, 2)).positions
+    assert positions.tolist() == list(range(12)) and not positions.flags.writeable
+    positions = ChannelMap(2, _entries(3, 2)[::-1]).positions
+    assert positions.tolist() == list(range(12))[::-1] and not positions.flags.writeable
 
 
 def test_channel_map_sampling_spec():
