@@ -27,9 +27,7 @@ def _integer(value, field: str) -> int:
     """value as an int: an int, a numpy integer or an integral float.  A bool
     (an int subclass) or a float with a fraction is a ValueError naming the
     field, rather than a silent 0/1 or a truncation."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)

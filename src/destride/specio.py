@@ -36,7 +36,15 @@ That is one space per level of nesting and one value per line (an inline
 weight value sits at depth 4, a weight array's brackets at depth 3), ASCII
 only with every other character escaped as \\uXXXX, integers without a
 decimal point, and non-finite weights spelled NaN, Infinity and -Infinity,
-as Python's json module reads and writes them.
+as Python's json module reads and writes them.  The writer does not run
+json.dumps on the document: the schema is closed, so it fills one format
+string per object kind (document, each layer kind, sidecar weights,
+transform), passes every string through json's C encode_basestring_ascii,
+writes the input map's entries as one %-formatted block and each inline
+weight array as C-encoded chunks (_inline_array), and writes a sidecar's
+bytes in one call.  The reader builds each layer and the network once and
+then gives the layers their weights, and it type-checks the input map's
+entries in one pass, going entry by entry only to name a malformed one.
 
 The transform block links a transformed document to its source.  The
 rewrite writes the input map's entries in source-major order
@@ -335,10 +343,9 @@ def load_document(path) -> SpecDocument:
     return SpecDocument(network=network, transform=meta, weights_mode=mode)
 
 
-# The document skeleton, one format per object kind, as json.dumps(...,
-# indent=1) lays it out: one space per level of nesting, one value per line.
-# Integers go in through %d and strings through the C encoder's
-# encode_basestring_ascii, so every byte is the one json.dumps writes.
+# One format per object kind, each at the depth where the closed schema puts
+# it, laid out as json.dumps(..., indent=1) lays it out.  Values go in as %d
+# (every one is an int) or as _string, json's own spelling of a str.
 _DOCUMENT = (
     '{\n "schema_version": %d,\n "network": {\n  "name": %s,\n  "provenance": %s,\n'
     '  "input_shape": [\n   %d,\n   %d,\n   %d\n  ],\n  "layers": %s\n }'
@@ -382,9 +389,10 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
     document's directory, which is where the reader looks it up."""
     path = Path(path)
     network = doc.network
-    # The skeleton is rendered from the closed schema (_KEYS): one format per
-    # object kind, no general-purpose encoder.  Inline weight arrays and the
-    # input map's entries are each one block of C-encoded or %-formatted text.
+    # The skeleton is the formats above, filled in: the schema is closed
+    # (_KEYS), so no general-purpose encoder walks the document.  Each inline
+    # weight array is C-encoded text, and the input map's entries are one
+    # %-formatted block.
     parts = [
         _DOCUMENT % (
             SCHEMA_VERSION, _string(network.name), _string(network.provenance),

@@ -380,8 +380,9 @@ def test_report_json_round_trips(tmp_path, capsys):
     assert all(r["distinct_sources"] == r["original_count"] for r in rows)
 
 
-# sha256 of each output below, as written before the document writer and the
-# --json printers were rewritten: the same bytes, whichever code writes them
+# sha256 of each output below as json.dumps(..., indent=1) spelled it when
+# it wrote every document and every --json output: the format strings and
+# flat C-encoder calls that write them now must give the same bytes
 GOLDEN_DIGESTS = {
     "lenet-inline:original":
         "03b461d0afeb362aa43270a7eaf2666edc5431e5437a4cf825625b518ab0ba1e",
