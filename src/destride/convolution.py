@@ -14,7 +14,7 @@ extract_filter are written against that layout.
 
 from __future__ import annotations
 
-import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,53 +57,101 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     max(1, N*h*w // (a*b*oh*ow)) items, each no larger than the input unless
     one item's is.  One feature map, or a batch that fits one slice, is one
     product.
+
+    A call is the two steps that forward keeps apart: Im2col.of checks the
+    shapes and works out the window, column and output shapes, which forward
+    plans once per network, and Im2col.apply reads the weights and
+    multiplies, which forward does at every call.
     """
     w = np.asarray(weights, dtype=np.float64)
-    # the window view below is laid over x's buffer, which must be C-ordered
+    # the window view is laid over x's buffer, which must be C-ordered
     x = np.asarray(feature_map, dtype=np.float64, order="C")
-    if w.ndim != 4:
-        raise ValueError(f"weights must be 4-D (out, in, row, col), got rank {w.ndim}")
-    if x.ndim not in (3, 4):
-        raise ValueError(
-            "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
-            f"col), got rank {x.ndim}"
-        )
-    *batch, c, h, wd = x.shape
-    out_c, _, a, b = w.shape
-    if w.shape[1] != c:
-        raise ValueError(f"filter expects {w.shape[1]} input channels, feature map has {c}")
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    if a > h or b > wd:
-        raise ValueError(f"filter {w.shape[2:]} larger than image {(h, wd)}")
-    oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
-    # ([N,] c, a, b, oh, ow), a read-only view of x's buffer; numpy checks
-    # that it stays inside, which holds as (oh - 1) * stride + a <= h and
-    # (ow - 1) * stride + b <= wd.  Its arguments go by position, since
-    # naming them costs ndarray a microsecond a call
-    *_, sh, sw = x.strides
-    windows = np.ndarray(
-        (*batch, c, a, b, oh, ow), np.float64, x, 0, (*x.strides, sh * stride, sw * stride)
-    )
-    windows.setflags(write=False)
-    kernel = w.reshape(out_c, c * a * b)
-    n = math.prod(batch)
-    step = max(1, n * h * wd // (a * b * oh * ow))
-    # a copy unless the view already is a C-ordered column matrix (a bare
-    # reshape could give an overlapping view that BLAS cannot take)
-    if step >= n:
-        cols = np.ascontiguousarray(windows).reshape(*batch, c * a * b, oh * ow)
-        return (kernel @ cols).reshape(*batch, out_c, oh, ow)
-    out = np.empty((n, out_c, oh * ow))
-    for i in range(0, n, step):
-        m = min(step, n - i)
-        # a temporary, so one slice's copy is freed before the next is made
-        np.matmul(
-            kernel,
-            np.ascontiguousarray(windows[i : i + m]).reshape(m, c * a * b, oh * ow),
-            out=out[i : i + m],
-        )
-    return out.reshape(n, out_c, oh, ow)
+    geometry = Im2col.of(w.shape, x.shape, stride)
+    batch = x.shape[:-3]
+    return geometry.apply(w, x, batch).reshape(*batch, *geometry.out)
+
+
+class Im2col(NamedTuple):
+    """The geometry of one strided correlation's im2col product, for any
+    batch of one (channels, h, w) feature map shape and one weight shape.
+    It holds shapes only, no weight values."""
+
+    windows: tuple      # (c, a, b, oh, ow), the window view of one item
+    strides: tuple      # its byte strides over a C-ordered float64 item
+    item_bytes: int     # c * h * w * 8, the byte stride between batch items
+    rows: int           # c * a * b, the column matrix's rows
+    cols: int           # oh * ow, its columns
+    out: tuple          # (out_channels, oh, ow)
+    area: int           # h * w, an input channel's values
+    column_area: int    # a * b * oh * ow, one channel's column matrix values
+
+    @classmethod
+    def of(cls, weight_shape, map_shape, stride: int) -> "Im2col":
+        """The geometry of weights of weight_shape over feature maps of
+        map_shape, (channels, h, w) or (N, channels, h, w), at stride; a
+        ValueError when they do not fit."""
+        if len(weight_shape) != 4:
+            raise ValueError(
+                f"weights must be 4-D (out, in, row, col), got rank {len(weight_shape)}"
+            )
+        if len(map_shape) not in (3, 4):
+            raise ValueError(
+                "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
+                f"col), got rank {len(map_shape)}"
+            )
+        c, h, wd = map_shape[-3:]
+        out_c, cin, a, b = weight_shape
+        if cin != c:
+            raise ValueError(f"filter expects {cin} input channels, feature map has {c}")
+        if stride < 1:
+            raise ValueError(f"stride must be at least 1, got {stride}")
+        if a > h or b > wd:
+            raise ValueError(f"filter {tuple(weight_shape[2:])} larger than image {(h, wd)}")
+        oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
+        # numpy checks that the window view stays inside its buffer, which
+        # holds as (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd
+        sw = np.dtype(np.float64).itemsize
+        sh = wd * sw
+        return cls((c, a, b, oh, ow), (h * sh, sh, sw, sh * stride, sw * stride), c * h * sh,
+                   c * a * b, oh * ow, (out_c, oh, ow), h * wd, a * b * oh * ow)
+
+    def apply(self, weights, x, batch: tuple) -> np.ndarray:
+        """The correlation of weights, of the planned shape, with x, a
+        C-ordered float64 buffer holding feature maps of the planned item
+        shape, batch () for one or (N,) for N of them.  Returns (*batch,
+        out_channels, oh * ow).
+
+        A batch goes through in slices of max(1, N*h*w // (a*b*oh*ow))
+        items, which is all of them for one or no item, or when one item's
+        column matrix is no larger than its input."""
+        # ([N,] c, a, b, oh, ow), a read-only view of x's buffer.  Its
+        # arguments go by position, since naming them costs ndarray a
+        # microsecond a call
+        if batch:
+            windows = np.ndarray(
+                (*batch, *self.windows), np.float64, x, 0, (self.item_bytes, *self.strides)
+            )
+        else:
+            windows = np.ndarray(self.windows, np.float64, x, 0, self.strides)
+        windows.setflags(write=False)
+        out_c = self.out[0]
+        kernel = np.asarray(weights, dtype=np.float64).reshape(out_c, self.rows)
+        # a copy unless the view already is a C-ordered column matrix (a bare
+        # reshape could give an overlapping view that BLAS cannot take)
+        if not batch or batch[0] < 2 or self.column_area <= self.area:
+            return kernel @ np.ascontiguousarray(windows).reshape(*batch, self.rows, self.cols)
+        n = batch[0]
+        step = max(1, n * self.area // self.column_area)
+        out = np.empty((n, out_c, self.cols))
+        for i in range(0, n, step):
+            m = min(step, n - i)
+            # a temporary, so one slice's copy is freed before the next is made
+            np.matmul(
+                kernel,
+                np.ascontiguousarray(windows[i : i + m]).reshape(m, self.rows, self.cols),
+                out=out[i : i + m],
+            )
+        return out
 
 
 def build_conv_tensor(filt, image_shape) -> np.ndarray:

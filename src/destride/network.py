@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convolution import conv_multichannel
+from .convolution import Im2col
 from .sampling import RaggedSamplingError
 
 ACTIVATIONS = {
@@ -85,6 +85,10 @@ class NetworkSpec:
     provenance: str = "original"
 
     def __post_init__(self):
+        # documents spell both as JSON strings, and the reader takes only those
+        for field in ("name", "provenance"):
+            if not isinstance(getattr(self, field), str):
+                raise ValueError(f"{field} must be a str, got {getattr(self, field)!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(
             self, "input_shape", tuple(_integer(v, "input_shape") for v in self.input_shape)
@@ -153,10 +157,57 @@ def infer_shapes(spec: NetworkSpec) -> list:
     return out
 
 
+def _forward_plan(spec: NetworkSpec) -> tuple:
+    """How forward evaluates spec, worked out from its input shape and the
+    shapes of its weights: (steps, outputs).  steps holds (layer index,
+    kind, argument) per layer: the Im2col geometry of a conv, the name of an
+    activation, the feature count a dense layer reads.  outputs is the
+    length of one input's flat output.  Holds no weight values and no
+    functions, so that a spec that carries it still pickles.  A layer that
+    cannot run is a ValueError naming it."""
+    steps = []
+    # one input's feature map, (channels, h, w), or (features,) once flat
+    shape = spec.input_shape
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, ConvLayer):
+            if layer.weights is None:
+                raise ValueError(f"layer {i}: conv layer has no weights")
+            try:
+                geometry = Im2col.of(np.shape(layer.weights), shape, layer.stride)
+            except ValueError as e:
+                raise ValueError(f"layer {i}: {e}") from None
+            steps.append((i, "conv", geometry))
+            shape = geometry.out
+        elif isinstance(layer, ActivationLayer):
+            steps.append((i, "activation", layer.function))
+        elif isinstance(layer, FullyConnectedLayer):
+            if layer.weights is None:
+                raise ValueError(f"layer {i}: fully connected layer has no weights")
+            features = math.prod(shape)
+            if layer.weights.shape[1] != features:
+                raise ValueError(
+                    f"layer {i}: weight columns {layer.weights.shape[1]} != "
+                    f"flattened input {features}"
+                )
+            steps.append((i, "dense", features))
+            shape = (layer.weights.shape[0],)
+        else:
+            raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
+    return tuple(steps), math.prod(shape)
+
+
 def forward(spec: NetworkSpec, x) -> np.ndarray:
     """Evaluate the network on one input (c, h, w), returning the flattened
-    output, or on a batch (N, c, h, w), returning (N, outputs)."""
-    x = np.asarray(x, dtype=np.float64)
+    output, or on a batch (N, c, h, w), returning (N, outputs).
+
+    The first call on a spec plans its evaluation from the input shape and
+    the layers: each conv's im2col geometry, each dense layer's feature
+    count, each activation's name.  The plan is cached privately on the
+    spec, which is frozen, so later calls check only the input's rank and
+    shape.  Weights are read at every call: changing them in place changes
+    the next output."""
+    # C-ordered once here, so every conv's window view can lie over its input
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim not in (3, 4):
         raise ValueError(
             f"input must be (channels, h, w) or (batch, channels, h, w), got rank {x.ndim}"
@@ -166,30 +217,21 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
     if x.shape[-3:] != spec.input_shape:
         what = "batch item shape" if batch else "input shape"
         raise ValueError(f"{what} {x.shape[-3:]} != spec input {spec.input_shape}")
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, ConvLayer):
-            if layer.weights is None:
-                raise ValueError(f"layer {i}: conv layer has no weights")
-            try:
-                x = conv_multichannel(layer.weights, x, layer.stride)
-            except ValueError as e:
-                raise ValueError(f"layer {i}: {e}") from None
-        elif isinstance(layer, ActivationLayer):
-            x = ACTIVATIONS[layer.function](x)
-        elif isinstance(layer, FullyConnectedLayer):
-            if layer.weights is None:
-                raise ValueError(f"layer {i}: fully connected layer has no weights")
-            # reshape cannot infer a -1 width from an empty batch
-            v = x.reshape(*batch, math.prod(x.shape[len(batch):]))
-            if layer.weights.shape[1] != v.shape[-1]:
-                raise ValueError(
-                    f"layer {i}: weight columns {layer.weights.shape[1]} != "
-                    f"flattened input {v.shape[-1]}"
-                )
-            x = v @ layer.weights.T
+    plan = vars(spec).get("_forward_plan")
+    if plan is None:
+        plan = _forward_plan(spec)
+        object.__setattr__(spec, "_forward_plan", plan)
+    steps, outputs = plan
+    layers = spec.layers
+    for i, kind, arg in steps:
+        if kind == "conv":
+            x = arg.apply(layers[i].weights, x, batch)
+        elif kind == "activation":
+            x = ACTIVATIONS[arg](x)
         else:
-            raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
-    return x.reshape(*batch, math.prod(x.shape[len(batch):]))
+            # reshape cannot infer a -1 width from an empty batch
+            x = x.reshape(*batch, arg) @ layers[i].weights.T
+    return x.reshape(*batch, outputs)
 
 
 def init_params(spec: NetworkSpec, seed: int) -> NetworkSpec:

@@ -100,6 +100,11 @@ class TransformMetadata:
     source: str
     input_map: ChannelMap
 
+    def __post_init__(self):
+        # the writer spells it as a JSON string, the reader takes only one
+        if not isinstance(self.source, str):
+            raise ValueError(f"source must be a str, got {self.source!r}")
+
 
 @dataclass(frozen=True)
 class SpecDocument:
@@ -387,6 +392,8 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
     them as decimal arrays, "sidecar" writes <document>.weights.bin next to
     the JSON (or sidecar_path) and references it by its path relative to the
     document's directory, which is where the reader looks it up."""
+    if weights_mode not in (None, "inline", "sidecar"):
+        raise ValueError(f"unknown weights mode {weights_mode!r}")
     path = Path(path)
     network = doc.network
     # The skeleton is the formats above, filled in: the schema is closed
@@ -410,7 +417,7 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             for n, (i, w) in enumerate(carrying.items()):
                 parts += [',' if n else '', f'\n   "{i}": ', *_inline_array(w)]
             parts.append("\n  }\n }")
-        elif weights_mode == "sidecar":
+        else:
             sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
             blob = np.concatenate([w.ravel() for w in carrying.values()]).astype("<f8")
             with open(sidecar, "wb") as f:
@@ -419,8 +426,6 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             parts.append(_SIDECAR % (
                 _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}")
             ))
-        else:
-            raise ValueError(f"unknown weights mode {weights_mode!r}")
     if doc.transform is not None:
         imap = doc.transform.input_map
         entries = ",\n    ".join([_ENTRY] * len(imap.entries)) % tuple(

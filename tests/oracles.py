@@ -6,8 +6,10 @@ as plain index loops.  The exception is the single-input evaluator at the end
 (einsum_conv and what builds on it): one input and one einsum per conv at a
 time, a reference for the package's batched im2col products that shares
 none of their code.  Slow is fine; these only run on small inputs.
-document_text, last, is the spec writer as the single json.dumps call it
-once was, the reference for the spliced writer's bytes.
+layerwise_forward imports the package's conv_multichannel on purpose: it is
+the evaluator loop forward once was, the reference for the bits of its
+planned evaluation.  document_text, last, is the spec writer as the single
+json.dumps call it once was, the reference for the spliced writer's bytes.
 """
 
 from __future__ import annotations
@@ -188,6 +190,26 @@ def einsum_forward(spec, x):
         else:
             x = layer.weights @ x.ravel()
     return np.asarray(x, dtype=float).ravel()
+
+
+def layerwise_forward(spec, x):
+    """forward as the loop it once was, working every layer out at every
+    call: conv_multichannel for a conv, max(x, 0) or identity for an
+    activation, the flattened map times the transposed weights for a dense
+    layer.  One input (c, h, w) gives the flat output, a batch (N, c, h, w)
+    gives (N, outputs).  Layers are told apart by their fields."""
+    from destride import conv_multichannel
+
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[:-3]
+    for layer in spec.layers:
+        if hasattr(layer, "kernel"):
+            x = conv_multichannel(layer.weights, x, layer.stride)
+        elif hasattr(layer, "function"):
+            x = np.maximum(x, 0.0) if layer.function == "relu" else x
+        else:
+            x = x.reshape(*batch, int(np.prod(x.shape[len(batch):]))) @ layer.weights.T
+    return x.reshape(*batch, int(np.prod(x.shape[len(batch):])))
 
 
 def space_to_depth(x, entries, s):

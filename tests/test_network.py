@@ -1,5 +1,8 @@
 import json
-from dataclasses import fields
+import pickle
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +20,15 @@ from destride import (
     init_params,
     load_document,
     parameter_report,
+    reshape_input,
     transform_network,
     verify_equivalence,
 )
 
-from oracles import multichannel_forward, verify_loop
+from oracles import layerwise_forward, multichannel_forward, verify_loop
+from test_transform import _random_net
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _lenet():
@@ -229,6 +236,98 @@ def test_forward_batch_shapes_and_rejections():
             forward(spec, bad)
     with pytest.raises(ValueError, match=r"\(1, 6, 6\) != spec input \(2, 6, 6\)"):
         forward(spec, x[:, :1])
+
+
+def _with_weights(spec, change):
+    """spec with change applied to every weight array."""
+    return replace(spec, layers=tuple(
+        replace(l, weights=change(l.weights)) if getattr(l, "weights", None) is not None else l
+        for l in spec.layers
+    ))
+
+
+def test_forward_equals_the_layerwise_loop():
+    # bit for bit the loop that worked every layer out at every call.  41
+    # items go through LeNet's first conv in 21 slices, its column matrix
+    # holding 18x its input, and 4 items go in slices through every conv
+    # whose column matrix is more than once its input
+    specs = [init_params(load_document(FIXTURES / "lenet.json").network, seed=0)]
+    specs += [init_params(_random_net(seed), seed=seed) for seed in range(40)]
+    for seed, spec in enumerate(specs):
+        result = transform_network(spec)
+        x = np.random.default_rng(seed).standard_normal((41,) + spec.input_shape)
+        for net, xs in ((spec, x), (result.network, reshape_input(x, result.input_map))):
+            inputs = [xs[0], xs[:4], xs[:0], xs, np.rint(4 * xs[:4]).astype(np.int64),
+                      np.asfortranarray(xs[:4]), xs[:4, :, ::-1]]
+            for xin in inputs:
+                assert np.array_equal(forward(net, xin), layerwise_forward(net, xin)), net.name
+            for change in (lambda w: np.rint(4 * w).astype(np.int64), np.asfortranarray,
+                           lambda w: w[..., ::-1].copy()[..., ::-1]):
+                other = _with_weights(net, change)
+                for xin in (xs[0], xs[:4]):
+                    assert np.array_equal(forward(other, xin), layerwise_forward(other, xin))
+
+
+def test_forward_plan_reads_weights_at_every_call_and_stays_private():
+    spec = init_params(
+        NetworkSpec("p", (2, 9, 8), (ConvLayer(3, (3, 2), 2), ActivationLayer("relu"),
+                                     ConvLayer(2, (2, 3), 1), FullyConnectedLayer(3))),
+        seed=6,
+    )
+    x = np.random.default_rng(44).standard_normal((5,) + spec.input_shape)
+    plain = repr(spec)
+    first = forward(spec, x)
+    assert repr(spec) == plain
+    assert [f.name for f in fields(NetworkSpec)] == ["name", "input_shape", "layers", "provenance"]
+    cached = [k for k in vars(spec) if k not in ("name", "input_shape", "layers", "provenance")]
+    assert cached and all(k.startswith("_") for k in cached)
+    # weights changed in place change the next output, as on a fresh spec
+    before = first
+    for i in (0, 2, 3):
+        spec.layers[i].weights[0] *= -2.0
+        y = forward(spec, x)
+        assert not np.array_equal(y, before), i
+        assert np.array_equal(y, forward(replace(spec), x))
+        assert np.array_equal(y, layerwise_forward(spec, x))
+        before = y
+    # copies get their own plan: new weights, and a larger input
+    other = init_params(spec, seed=7)
+    assert np.array_equal(forward(other, x), layerwise_forward(other, x))
+    assert np.array_equal(forward(spec, x), before)
+    convs = replace(spec, layers=spec.layers[:3])
+    wider = replace(convs, input_shape=(2, 11, 12))
+    xw = np.random.default_rng(45).standard_normal((3,) + wider.input_shape)
+    assert forward(convs, x).shape == (5, 2 * 3 * 2)
+    assert forward(wider, xw).shape == (3, 2 * 4 * 4)
+    assert np.array_equal(forward(wider, xw), layerwise_forward(wider, xw))
+    # the plan holds no functions (ACTIVATIONS holds lambdas), so a spec
+    # that carries one still pickles, and its copy computes the same bits
+    again = pickle.loads(pickle.dumps(spec))
+    assert np.array_equal(forward(again, x), forward(spec, x))
+    assert np.array_equal(forward(again, x[0]), forward(spec, x[0]))
+
+
+def test_forward_errors_name_the_layer_at_every_call():
+    ones = np.ones
+    cases = [
+        (NetworkSpec("w", (1, 4, 4), (ConvLayer(1, (2, 2), 1),)),
+         "layer 0: conv layer has no weights"),
+        (NetworkSpec("d", (1, 4, 4), (ActivationLayer("relu"), FullyConnectedLayer(2))),
+         "layer 1: fully connected layer has no weights"),
+        (NetworkSpec("c", (2, 4, 4), (ConvLayer(1, (2, 2), 1, weights=ones((1, 3, 2, 2))),)),
+         "layer 0: filter expects 3 input channels, feature map has 2"),
+        (NetworkSpec("k", (1, 4, 4), (ActivationLayer("relu"),
+                                      ConvLayer(1, (5, 5), 1, weights=ones((1, 1, 5, 5))))),
+         "layer 1: filter (5, 5) larger than image (4, 4)"),
+        (NetworkSpec("f", (1, 4, 4), (ConvLayer(1, (2, 2), 1, weights=ones((1, 1, 2, 2))),
+                                      FullyConnectedLayer(2, weights=ones((2, 16))))),
+         "layer 1: weight columns 16 != flattened input 9"),
+    ]
+    for spec, message in cases:
+        for x in (np.zeros(spec.input_shape), np.zeros((3,) + spec.input_shape)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    forward(spec, x)
 
 
 def test_init_params_deterministic_and_bounded():

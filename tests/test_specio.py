@@ -521,9 +521,28 @@ def test_sidecar_missing_file(tmp_path):
 
 
 def test_save_rejects_unknown_mode(tmp_path):
-    spec = _small_net(seed=9)
-    with pytest.raises(ValueError, match="mode"):
-        save_document(tmp_path / "a.json", SpecDocument(network=spec), weights_mode="csv")
+    # with weights or without: an architecture-only network once wrote its
+    # document whatever the mode said
+    for net in (_small_net(seed=9), _small_net()):
+        path = tmp_path / "a.json"
+        with pytest.raises(ValueError, match="^unknown weights mode 'csv'$"):
+            save_document(path, SpecDocument(network=net), weights_mode="csv")
+        assert not path.exists() and not path.with_suffix(".weights.bin").exists()
+
+
+def test_names_must_be_strings():
+    # documents spell them as JSON strings and the reader takes nothing else,
+    # so the writer once died in json, or wrote what it could not read back
+    for field in ("name", "provenance"):
+        for value in (5, None, b"n", ["n"]):
+            args = {"name": "n", "input_shape": (1, 4, 4), "layers": (), field: value}
+            with pytest.raises(ValueError, match=f"^{field} must be a str, got "):
+                NetworkSpec(**args)
+    imap = ChannelMap(2, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)])
+    for value in (5, None, Path("a.json")):
+        with pytest.raises(ValueError, match="^source must be a str, got "):
+            TransformMetadata(value, imap)
+    assert TransformMetadata("a.json", imap).source == "a.json"
 
 
 def test_corrupted_sidecar_changes_loaded_values(tmp_path):
