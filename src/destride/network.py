@@ -16,22 +16,12 @@ import numpy as np
 
 from .convolution import Im2col
 from .sampling import RaggedSamplingError
+from .tensors import _integer
 
 ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "identity": lambda x: x,
 }
-
-
-def _integer(value, field: str) -> int:
-    """value as an int: an int, a numpy integer or an integral float.  A bool
-    (an int subclass) or a float with a fraction is a ValueError naming the
-    field, rather than a silent 0/1 or a truncation."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +102,10 @@ def _walk(spec: NetworkSpec):
 
     Shapes are (channels, h, w) tuples, or a feature count once the network
     has flattened.  Raises on geometry the network cannot have: a kernel
-    larger than its input, a stride that does not divide (dim - kernel), or
-    a convolution after the flatten.
+    larger than its input, a stride that does not divide (dim - kernel), a
+    convolution after the flatten, or weights of another shape than the
+    layer declares.  This is the one walk of a network's shapes; every other
+    reader takes its shapes from it.
     """
     shape = spec.input_shape
     for i, layer in enumerate(spec.layers):
@@ -135,74 +127,53 @@ def _walk(spec: NetworkSpec):
             out, wshape = layer.units, (layer.units, feats)
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
+        weights = getattr(layer, "weights", None)
+        # np.shape, so that nested-list weights are shape-checked too
+        if weights is not None and np.shape(weights) != wshape:
+            raise ValueError(f"layer {i}: weight shape {np.shape(weights)} != declared {wshape}")
         yield shape, out, wshape
         shape = out
-
-
-def _check_weights(i: int, layer, wshape) -> None:
-    """Raise unless layer i carries no weights or weights of shape wshape."""
-    weights = getattr(layer, "weights", None)
-    if weights is not None and weights.shape != wshape:
-        raise ValueError(f"layer {i}: weight shape {weights.shape} != declared {wshape}")
 
 
 def infer_shapes(spec: NetworkSpec) -> list:
     """Output shape after each layer: (channels, h, w) tuples, or a feature
     count once the network has flattened.  Also validates that declared
     weights match declared shapes."""
-    out = []
-    for i, (layer, (_, shape, wshape)) in enumerate(zip(spec.layers, _walk(spec))):
-        _check_weights(i, layer, wshape)
-        out.append(shape)
-    return out
+    return [out for _, out, _ in _walk(spec)]
 
 
 def _forward_plan(spec: NetworkSpec) -> tuple:
-    """How forward evaluates spec, worked out from its input shape and the
-    shapes of its weights: (steps, outputs).  steps holds (layer index,
-    kind, argument) per layer: the Im2col geometry of a conv, the name of an
-    activation, the feature count a dense layer reads.  outputs is the
-    length of one input's flat output.  Holds no weight values and no
-    functions, so that a spec that carries it still pickles.  A layer that
-    cannot run is a ValueError naming it."""
+    """How forward evaluates spec, worked out from its declared shapes by
+    the walk infer_shapes takes: (steps, outputs).  steps holds (layer
+    index, kind, argument) per layer: the Im2col geometry of a conv, the
+    name of an activation, the feature count a dense layer reads.  outputs
+    is the length of one input's flat output.  Holds no weight values and
+    no functions, so that a spec that carries it still pickles.  A layer
+    that infer_shapes refuses, or that has no weights, is a ValueError
+    naming it."""
     steps = []
-    # one input's feature map, (channels, h, w), or (features,) once flat
-    shape = spec.input_shape
-    for i, layer in enumerate(spec.layers):
+    out = spec.input_shape
+    for i, (layer, (shape, out, wshape)) in enumerate(zip(spec.layers, _walk(spec))):
+        if wshape is not None and layer.weights is None:
+            kind = "conv" if isinstance(layer, ConvLayer) else "fully connected"
+            raise ValueError(f"layer {i}: {kind} layer has no weights")
         if isinstance(layer, ConvLayer):
-            if layer.weights is None:
-                raise ValueError(f"layer {i}: conv layer has no weights")
-            try:
-                geometry = Im2col.of(np.shape(layer.weights), shape, layer.stride)
-            except ValueError as e:
-                raise ValueError(f"layer {i}: {e}") from None
-            steps.append((i, "conv", geometry))
-            shape = geometry.out
+            steps.append((i, "conv", Im2col.of(wshape, shape, layer.stride)))
         elif isinstance(layer, ActivationLayer):
             steps.append((i, "activation", layer.function))
-        elif isinstance(layer, FullyConnectedLayer):
-            if layer.weights is None:
-                raise ValueError(f"layer {i}: fully connected layer has no weights")
-            features = math.prod(shape)
-            if layer.weights.shape[1] != features:
-                raise ValueError(
-                    f"layer {i}: weight columns {layer.weights.shape[1]} != "
-                    f"flattened input {features}"
-                )
-            steps.append((i, "dense", features))
-            shape = (layer.weights.shape[0],)
         else:
-            raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
-    return tuple(steps), math.prod(shape)
+            steps.append((i, "dense", wshape[1]))
+    return tuple(steps), math.prod(out) if isinstance(out, tuple) else out
 
 
 def forward(spec: NetworkSpec, x) -> np.ndarray:
     """Evaluate the network on one input (c, h, w), returning the flattened
     output, or on a batch (N, c, h, w), returning (N, outputs).
 
-    The first call on a spec plans its evaluation from the input shape and
-    the layers: each conv's im2col geometry, each dense layer's feature
-    count, each activation's name.  The plan is cached privately on the
+    The first call on a spec plans its evaluation: each conv's im2col
+    geometry, each dense layer's feature count, each activation's name,
+    from the declared shapes through the walk infer_shapes takes, so it
+    refuses what infer_shapes refuses.  The plan is cached privately on the
     spec, which is frozen, so later calls check only the input's rank and
     shape.  Weights are read at every call: changing them in place changes
     the next output."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import as_matrix, as_tensor4
+from .tensors import _integer, as_matrix, as_tensor4
 
 
 class RaggedSamplingError(ValueError):
@@ -26,13 +26,17 @@ class RaggedSamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Grid offsets (1-based) and stride; offsets may not exceed the stride."""
+    """Grid offsets (1-based) and stride; offsets may not exceed the stride.
+    Each is an int, a numpy integer or an integral float, stored as int; a
+    fraction or a bool is a ValueError naming the field."""
 
     row_offset: int
     col_offset: int
     stride: int
 
     def __post_init__(self):
+        for field in ("row_offset", "col_offset", "stride"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
         for name, off in (("row", self.row_offset), ("col", self.col_offset)):
@@ -48,7 +52,7 @@ def coerce_spec(spec) -> SamplingSpec:
     if isinstance(spec, SamplingSpec):
         return spec
     m, n, s = spec
-    return SamplingSpec(int(m), int(n), int(s))
+    return SamplingSpec(m, n, s)
 
 
 def sample_matrix(x, spec) -> np.ndarray:
@@ -93,6 +97,7 @@ def compose_sampling(outer: SamplingSpec, inner_stride: int) -> SamplingSpec:
     once with ((m-1)*s_inner + 1, (n-1)*s_inner + 1, s*s_inner).
     """
     outer = coerce_spec(outer)
+    inner_stride = _integer(inner_stride, "inner_stride")
     if inner_stride < 1:
         raise ValueError(f"inner stride must be at least 1, got {inner_stride}")
     return SamplingSpec(

@@ -1,12 +1,24 @@
 """Dense tensor substrate: matrices, 4-D tensors, and their contraction.
 
 Matrices and 4-D tensors are plain float64 numpy arrays; the helpers here
-validate rank.  Every function treats its inputs as immutable.
+validate rank.  Every function treats its inputs as immutable.  _integer is
+the one rule for integer fields (sizes, offsets, strides) across the library.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _integer(value, field: str) -> int:
+    """value as an int: an int, a numpy integer or an integral float.  A bool
+    (an int subclass) or a float with a fraction is a ValueError naming the
+    field, rather than a silent 0/1 or a truncation."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def as_matrix(x) -> np.ndarray:

@@ -57,9 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .convolution import conv2d
-from .network import ConvLayer, NetworkSpec, _check_weights, _walk, infer_shapes
+from .network import ConvLayer, NetworkSpec, _walk
 from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
-from .tensors import as_matrix
+from .tensors import _integer, as_matrix
 
 def channel_entries(channels: int, stride: int) -> tuple:
     """Enumerate the (source_channel, row_offset, col_offset) triples, all
@@ -153,6 +153,7 @@ def destride_layer(filt, image, stride: int):
     """
     h = as_matrix(filt)
     x = as_matrix(image)
+    stride = _integer(stride, "stride")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     if h.shape[0] > x.shape[0] or h.shape[1] > x.shape[1]:
@@ -168,12 +169,12 @@ def destride_layer(filt, image, stride: int):
         for q in range(1, stride + 1)
         if p <= x.shape[0] and q <= x.shape[1]
     ]
-    filt_pieces = [sample_matrix(h, (p, q, stride)) for p, q in pairs]
-    hh = max(g.shape[0] for g in filt_pieces)
-    ww = max(g.shape[1] for g in filt_pieces)
-    filters = [
-        np.pad(g, ((0, hh - g.shape[0]), (0, ww - g.shape[1]))) for g in filt_pieces
-    ]
+    # the rewrite's pieces of a one-channel conv at sigma_in = stride, one
+    # per (p, q), row offset outermost; the largest sample, offset (1, 1),
+    # is ceil(a/s) x ceil(b/s)
+    piece = (-(-h.shape[0] // stride), -(-h.shape[1] // stride))
+    window = _piece_window(h[None, None], 0.0, stride, stride, piece)[0]
+    filters = [window[(p - 1) * stride + q - 1] for p, q in pairs]
     channels = [sample_matrix(x, (p, q, stride)) for p, q in pairs]
     return filters, channels
 
@@ -192,6 +193,8 @@ def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride:
     h = as_matrix(filt)
     x = as_matrix(image)
     spec = SamplingSpec(row_offset, col_offset, stride)
+    # the spec's fields, so the loops below see the integers it checked
+    row_offset, col_offset, stride = spec.row_offset, spec.col_offset, spec.stride
     lhs = sample_matrix(conv2d(h, x), spec)
     rhs = np.zeros_like(lhs)
     if lhs.size == 0:
@@ -287,7 +290,6 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     sources = {}
     sig_in = total
     for i, layer in enumerate(spec.layers):
-        _check_weights(i, layer, plan[i][2])
         if not isinstance(layer, ConvLayer):
             continue
         (cin, h, w), (_, h_out, w_out), _ = plan[i]
@@ -321,8 +323,9 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
         layers=tuple(new_layers),
         provenance=f"transformed-from:{spec.name}",
     )
-    # transformed net must shape-check end to end
-    infer_shapes(transformed)
+    # no walk of the result: each piece is at most h/sigma_in per axis, the
+    # channels are c*sigma**2 and _piece_window shapes the weights, so it
+    # shape-checks by construction, and forward plans it through the walk
     return TransformResult(transformed, input_map, sources)
 
 

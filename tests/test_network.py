@@ -94,6 +94,26 @@ def test_infer_shapes_checks_weight_shapes():
         infer_shapes(bad_fc)
 
 
+def test_every_walk_reads_weight_shapes_with_np_shape():
+    spec = init_params(
+        NetworkSpec("l", (1, 4, 4), (ConvLayer(2, (2, 2), 2), FullyConnectedLayer(3))), seed=1
+    )
+    conv = spec.layers[0]
+    listed = replace(spec, layers=(replace(conv, weights=conv.weights.tolist()), spec.layers[1]))
+    assert infer_shapes(listed) == infer_shapes(spec) == [(2, 2, 2), 3]
+    x = np.random.default_rng(46).standard_normal((2,) + spec.input_shape)
+    assert np.array_equal(forward(listed, x), forward(spec, x))
+    # weights of another shape are refused by every reader of the walk,
+    # and init_params does not overwrite them
+    bad = replace(spec, layers=(replace(conv, weights=np.zeros((2, 1, 1, 1))), spec.layers[1]))
+    for check in (infer_shapes, transform_network, lambda net: init_params(net, seed=0),
+                  lambda net: parameter_report(net, {}),
+                  lambda net: forward(net, x)):
+        with pytest.raises(ValueError, match=r"^layer 0: weight shape \(2, 1, 1, 1\) "
+                                             r"!= declared \(2, 1, 2, 2\)$"):
+            check(bad)
+
+
 def test_layer_validation():
     with pytest.raises(ValueError):
         ConvLayer(0, (2, 2), 1)
@@ -315,19 +335,33 @@ def test_forward_errors_name_the_layer_at_every_call():
         (NetworkSpec("d", (1, 4, 4), (ActivationLayer("relu"), FullyConnectedLayer(2))),
          "layer 1: fully connected layer has no weights"),
         (NetworkSpec("c", (2, 4, 4), (ConvLayer(1, (2, 2), 1, weights=ones((1, 3, 2, 2))),)),
-         "layer 0: filter expects 3 input channels, feature map has 2"),
+         "layer 0: weight shape (1, 3, 2, 2) != declared (1, 2, 2, 2)"),
         (NetworkSpec("k", (1, 4, 4), (ActivationLayer("relu"),
                                       ConvLayer(1, (5, 5), 1, weights=ones((1, 1, 5, 5))))),
-         "layer 1: filter (5, 5) larger than image (4, 4)"),
+         "layer 1: kernel height 5 larger than input 4"),
         (NetworkSpec("f", (1, 4, 4), (ConvLayer(1, (2, 2), 1, weights=ones((1, 1, 2, 2))),
                                       FullyConnectedLayer(2, weights=ones((2, 16))))),
-         "layer 1: weight columns 16 != flattened input 9"),
+         "layer 1: weight shape (2, 16) != declared (2, 9)"),
+        # weights of a smaller kernel than declared, and a stride that does
+        # not divide (dim - kernel), are refused, not run with 16 or 4 outputs
+        (NetworkSpec("s", (1, 5, 5), (ConvLayer(1, (3, 3), 1, weights=ones((1, 1, 2, 2))),)),
+         "layer 0: weight shape (1, 1, 2, 2) != declared (1, 1, 3, 3)"),
+        (NetworkSpec("r", (1, 5, 5), (ConvLayer(1, (2, 2), 2, weights=ones((1, 1, 2, 2))),)),
+         "layer 0: (5 - 2) not divisible by stride 2"),
+        (NetworkSpec("a", (1, 2, 2), (FullyConnectedLayer(4, weights=ones((4, 4))),
+                                      ConvLayer(1, (1, 1), 1, weights=ones((1, 1, 1, 1))))),
+         "layer 1: conv after flatten is not supported"),
     ]
     for spec, message in cases:
         for x in (np.zeros(spec.input_shape), np.zeros((3,) + spec.input_shape)):
             for _ in range(2):
-                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as e:
                     forward(spec, x)
+        # what infer_shapes refuses, forward refuses with the same error
+        if "no weights" not in message:
+            with pytest.raises(type(e.value), match=f"^{re.escape(message)}$") as again:
+                infer_shapes(spec)
+            assert type(again.value) is type(e.value)
 
 
 def test_init_params_deterministic_and_bounded():

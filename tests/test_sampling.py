@@ -66,6 +66,30 @@ def test_sampling_spec_validates_offsets():
         SamplingSpec(1, 1, 0)
 
 
+def test_sampling_fields_are_ints_or_refused_by_name():
+    # integral floats and numpy integers are stored as int
+    spec = SamplingSpec(2.0, np.int64(1), np.int64(2))
+    assert (spec.row_offset, spec.col_offset, spec.stride) == (2, 1, 2)
+    assert {type(v) for v in (spec.row_offset, spec.col_offset, spec.stride)} == {int}
+    x = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(sample_matrix(x, (2.0, 1, np.int64(2))), sample_matrix(x, (2, 1, 2)))
+    composed = compose_sampling((1, 1, 2), 2.0)
+    assert composed == compose_sampling((1, 1, 2), np.int64(2)) == SamplingSpec(1, 1, 4)
+    assert type(composed.stride) is int
+    # a fraction or a bool is refused, not truncated or read as 0/1
+    for make, field in (
+        (lambda: sample_matrix(x, (1.7, 1, 2)), "row_offset"),
+        (lambda: sample_tensor(np.ones((2, 2, 2, 2)), (1, 2), (1, 1.5, 2)), "col_offset"),
+        (lambda: SamplingSpec(1.5, 1, 2), "row_offset"),
+        (lambda: SamplingSpec(True, 1, 2), "row_offset"),
+        (lambda: SamplingSpec(1, 1, False), "stride"),
+        (lambda: compose_sampling((1, 1, 2), 2.5), "inner_stride"),
+        (lambda: compose_sampling((1, 1, 2), True), "inner_stride"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            make()
+
+
 def test_sample_tensor_leading_and_trailing_dims():
     r = np.random.default_rng(3)
     t = r.standard_normal((5, 6, 7, 8))

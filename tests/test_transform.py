@@ -122,6 +122,18 @@ def test_destride_layer_ragged_image():
         destride_layer(np.ones((1, 1)), np.ones((4, 7)), 2)
 
 
+def test_destride_layer_stride_is_an_int_or_refused():
+    r = np.random.default_rng(23)
+    h, x = r.standard_normal((3, 2)), r.standard_normal((6, 4))
+    filters, channels = destride_layer(h, x, 2)
+    for stride in (2.0, np.int64(2)):
+        got = destride_layer(h, x, stride)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0] + got[1], filters + channels))
+    for stride in (2.5, True):
+        with pytest.raises(ValueError, match=f"^stride must be an integer, got {stride!r}$"):
+            destride_layer(h, x, stride)
+
+
 def test_sampled_conv_identity_all_offsets():
     r = np.random.default_rng(23)
     for s in (1, 2, 3):
@@ -737,10 +749,11 @@ def test_window_weights_keep_float32_and_widen_integers():
 def test_rewrite_rejects_conv_weights_of_another_shape():
     # a third filter would be dropped, and a (2, 2, 2, 1) block read as the
     # declared (2, 1, 2, 2) one; both are refused as infer_shapes refuses them
+    run = lambda net: forward(net, np.zeros(net.input_shape))
     for shape in ((3, 1, 2, 2), (2, 2, 2, 1)):
         spec = NetworkSpec("wrong", (1, 4, 4),
                            (ConvLayer(2, (2, 2), 2, weights=np.zeros(shape)),))
-        for check in (infer_shapes, transform_network):
+        for check in (infer_shapes, transform_network, run):
             with pytest.raises(ValueError, match=rf"layer 0: weight shape \({shape[0]}, "
                                                  rf".* != declared \(2, 1, 2, 2\)"):
                 check(spec)
