@@ -42,9 +42,14 @@ string per object kind (document, each layer kind, sidecar weights,
 transform), passes every string through json's C encode_basestring_ascii,
 writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
-bytes in one call.  The reader builds each layer and the network once and
-then gives the layers their weights, and it type-checks the input map's
-entries in one pass, going entry by entry only to name a malformed one.
+bytes in one call.  Both files are replaced in place (_write_over): an
+existing file is written over from its start, keeping its inode, and then
+cut to the new length; a target that is not a regular file, such as
+/dev/null or a FIFO, is written but not cut.  A write that fails part way
+leaves the new head over the old file's tail.  The reader builds each
+layer and the network once and then gives the layers their weights, and it
+type-checks the input map's entries in one pass, going entry by entry only
+to name a malformed one.
 
 The transform block links a transformed document to its source.  The
 rewrite writes the input map's entries in source-major order
@@ -72,6 +77,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -419,9 +425,8 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             parts.append("\n  }\n }")
         else:
             sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
-            blob = np.concatenate([w.ravel() for w in carrying.values()]).astype("<f8")
-            with open(sidecar, "wb") as f:
-                f.write(blob)
+            blob = np.concatenate([w.ravel() for w in carrying.values()], dtype="<f8")
+            _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
             parts.append(_SIDECAR % (
                 _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}")
@@ -435,8 +440,33 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             _string(doc.transform.source), imap.stride, f"[\n    {entries}\n   ]"
         ))
     parts.append("\n}\n")
-    with path.open("w", encoding="utf-8") as f:
+    _write_over(path, parts, "w")
+
+
+def _write_over(path, parts, mode: str) -> None:
+    """Replace the contents of the file at path (following a symlink, and
+    created with open()'s mode bits if it is missing) with parts, str
+    written as UTF-8 in mode "w" or bytes-like in mode "wb", one after the
+    other.
+
+    The file is written from its start and then cut to the written length,
+    rather than truncated when opened: where a filesystem frees blocks
+    eagerly (ext4 mounted with discard), a truncating open of a file that
+    holds data costs more than writing a small document.  The file keeps
+    its inode and permissions, and a shorter text leaves no stale tail.  A
+    target that is not a regular file (/dev/null, a FIFO, a pipe behind
+    /dev/stdout) cannot be cut and is only written.  A write that fails
+    part way leaves the new head over the old file's tail."""
+    with open(path, mode, encoding=None if "b" in mode else "utf-8", opener=_no_truncate) as f:
         f.writelines(parts)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
+def _no_truncate(path, flags) -> int:
+    """open()'s opener for _write_over: the flags of mode "w" less the one
+    that truncates, and the mode bits open() creates a file with."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
 
 
 def _inline_array(w) -> list[str]:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -453,6 +454,88 @@ def test_outputs_keep_their_recorded_digests(tmp_path, capsys):
                     digests["sidecar"].update(trans.with_suffix(".weights.bin").read_bytes())
             got.update({f"{group}-{mode}:{k}": h.hexdigest() for k, h in digests.items()})
     assert got == GOLDEN_DIGESTS
+
+
+def _refuse_writes_to_read_only_files(monkeypatch):
+    """Mode bits do not bind root, so under root os.open refuses to open a
+    file without write bits for writing, as the kernel does for any other
+    user."""
+    if not hasattr(os, "geteuid") or os.geteuid() != 0:
+        return
+    real_open = os.open
+
+    def guarded(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR) and os.path.exists(path):
+            if not os.stat(path).st_mode & 0o222:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", guarded)
+
+
+@pytest.mark.parametrize("mode, read_only", [
+    ("inline", "out.json"),
+    ("sidecar", "out.json"),
+    ("sidecar", "out.weights.bin"),
+])
+def test_transform_into_a_read_only_output_exits_4_and_keeps_it(
+    tmp_path, capsys, monkeypatch, mode, read_only
+):
+    spec = init_params(_random_net(3), seed=3)
+    save_document(tmp_path / "in.json", SpecDocument(network=spec), weights_mode=mode)
+    kept = tmp_path / read_only
+    kept.write_bytes(b"old bytes, longer than nothing\n")
+    kept.chmod(0o444)
+    _refuse_writes_to_read_only_files(monkeypatch)
+    assert main(["transform", str(tmp_path / "in.json"), str(tmp_path / "out.json")]) == 4
+    assert "Permission denied" in capsys.readouterr().err
+    assert kept.read_bytes() == b"old bytes, longer than nothing\n"
+
+
+@pytest.mark.parametrize("mode", ["inline", "sidecar"])
+def test_transform_over_its_own_input(tmp_path, capsys, mode):
+    # the input is read whole before its files are written over
+    spec = init_params(_random_net(5), seed=5)
+    own, other, fresh = (tmp_path / d / "a.json" for d in ("own", "other", "fresh"))
+    for p in (own, other, fresh):
+        p.parent.mkdir()
+    for p in (own, other):
+        save_document(p, SpecDocument(network=spec), weights_mode=mode)
+    assert main(["transform", str(own), str(own)]) == 0
+    assert main(["transform", str(other), str(fresh)]) == 0
+    capsys.readouterr()
+    assert own.read_bytes() == fresh.read_bytes()
+    if mode == "sidecar":
+        assert own.with_suffix(".weights.bin").read_bytes() == (
+            fresh.with_suffix(".weights.bin").read_bytes())
+    want = transform_network(spec)
+    got = load_document(own)
+    assert got.transform.input_map.entries == want.input_map.entries
+    assert got.transform.source == spec.name
+    assert len(got.network.layers) == len(want.network.layers)
+    for a, b in zip(got.network.layers, want.network.layers):
+        assert type(a) is type(b)
+        if getattr(b, "weights", None) is not None:
+            assert np.array_equal(a.weights, b.weights)
+
+
+def test_transform_writes_to_a_device_and_a_pipe(tmp_path, capsys):
+    # neither can be cut to length, so both are only written
+    assert main(["transform", str(FIXTURES / "lenet.json"), os.devnull]) == 0
+    capsys.readouterr()
+    if not os.path.exists("/dev/stdout"):
+        return
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "destride", "transform", str(FIXTURES / "lenet.json"),
+         "/dev/stdout"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["transform", str(FIXTURES / "lenet.json"), str(tmp_path / "t.json")]) == 0
+    capsys.readouterr()
+    # the document goes to the pipe as written, beside the buffered table
+    assert (tmp_path / "t.json").read_text() in done.stdout
 
 
 def _edited_lenet_transform(tmp_path, edit):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -367,3 +368,17 @@ def test_conv_multichannel_rejects_other_ranks():
     for shape in ((1, 1, 1, 4, 4), (4, 4)):
         with pytest.raises(ValueError, match="rank"):
             conv_multichannel(w, np.ones(shape))
+
+
+@pytest.mark.parametrize("weights, feature_map, stride, message", [
+    ((2, 2), (1, 4, 4), 1, "weights must be 4-D (out, in, row, col), got rank 2"),
+    ((1, 1, 2, 2), (4, 4), 1,
+     "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, col), got rank 2"),
+    ((1, 2, 2, 2), (3, 5, 5), 1, "filter expects 2 input channels, feature map has 3"),
+    ((1, 1, 2, 2), (2, 1, 5, 5), 0, "stride must be at least 1, got 0"),
+    ((1, 1, 3, 3), (1, 2, 5), 1, "filter (3, 3) larger than image (2, 5)"),
+    ((1, 1, 2, 6), (1, 5, 5), 2, "filter (2, 6) larger than image (5, 5)"),
+])
+def test_conv_multichannel_names_what_does_not_fit(weights, feature_map, stride, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        conv_multichannel(np.ones(weights), np.ones(feature_map), stride)

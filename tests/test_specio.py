@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import stat
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -653,3 +656,107 @@ def test_save_inline_peak_memory_is_bounded_by_the_text(tmp_path):
     written = p.stat().st_size
     assert written > 500_000
     assert peak <= 3.5 * written, (peak, written)
+
+
+def _outputs(directory, mode):
+    """The files save_document writes for directory / "a.json"."""
+    names = ["a.json"] + (["a.weights.bin"] if mode == "sidecar" else [])
+    return [directory / name for name in names]
+
+
+def _long_net():
+    # a transformed network of 8,688 stored values: its inline document
+    # outgrows a pipe's buffer, and _small_net's files are shorter
+    spec = NetworkSpec(
+        "long", (2, 12, 12),
+        (ConvLayer(6, (2, 2), 2), ActivationLayer("relu"), FullyConnectedLayer(40)),
+    )
+    return init_params(spec, seed=13)
+
+
+def _transformed(spec):
+    result = transform_network(spec)
+    return SpecDocument(
+        network=result.network,
+        transform=TransformMetadata(source=spec.name, input_map=result.input_map),
+    )
+
+
+@pytest.fixture(scope="module")
+def lenet_doc(lenet):
+    return _transformed(lenet)
+
+
+@pytest.mark.parametrize("mode", ["inline", "sidecar"])
+def test_shorter_files_written_over_longer_ones_equal_a_fresh_write(tmp_path, mode):
+    # the writer opens without truncating, so it must cut the old tail
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    old.mkdir()
+    fresh.mkdir()
+    save_document(old / "a.json", _transformed(_long_net()), weights_mode=mode)
+    for p in _outputs(old, mode):
+        p.chmod(0o640)
+    before = [p.stat() for p in _outputs(old, mode)]
+    short = SpecDocument(network=_small_net(seed=12))
+    save_document(old / "a.json", short, weights_mode=mode)
+    save_document(fresh / "a.json", short, weights_mode=mode)
+    for p, q, st in zip(_outputs(old, mode), _outputs(fresh, mode), before):
+        assert p.read_bytes() == q.read_bytes(), p.name
+        assert q.stat().st_size < st.st_size, p.name
+        # the same file, not a new one under the old name
+        assert (p.stat().st_ino, stat.S_IMODE(p.stat().st_mode)) == (st.st_ino, 0o640), p.name
+
+
+@pytest.mark.parametrize("mode", ["inline", "sidecar"])
+def test_a_symlinked_output_is_written_through_the_link(tmp_path, mode):
+    real, links, fresh = tmp_path / "real", tmp_path / "links", tmp_path / "fresh"
+    for d in (real, links, fresh):
+        d.mkdir()
+    save_document(real / "a.json", _transformed(_long_net()), weights_mode=mode)
+    for p, link in zip(_outputs(real, mode), _outputs(links, mode)):
+        link.symlink_to(os.path.join("..", "real", p.name))
+    doc = SpecDocument(network=_small_net(seed=15))
+    save_document(links / "a.json", doc, weights_mode=mode)
+    save_document(fresh / "a.json", doc, weights_mode=mode)
+    for p, link, q in zip(_outputs(real, mode), _outputs(links, mode), _outputs(fresh, mode)):
+        assert link.is_symlink()
+        assert p.read_bytes() == q.read_bytes(), p.name
+    assert _networks_equal(load_document(links / "a.json").network, doc.network)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_receives_the_text_a_regular_file_does(tmp_path):
+    # a FIFO can be written but not cut to length, so it is only written
+    doc = _transformed(_long_net())
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so that a writer that never opens the FIFO fails the test
+    # rather than hanging it
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_document(fifo, doc, weights_mode="inline")
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    save_document(tmp_path / "file.json", doc, weights_mode="inline")
+    text = (tmp_path / "file.json").read_bytes()
+    assert len(text) > 1 << 16  # more than a pipe buffer holds
+    assert received == [text]
+
+
+@pytest.mark.parametrize("mode, written, bound", [
+    ("sidecar", "t.weights.bin", 1.25),
+    ("inline", "t.json", 1.15),
+])
+def test_save_peak_memory_of_transformed_lenet(tmp_path, lenet_doc, mode, written, bound):
+    # the writer streams: the sidecar blob is made once, in its final dtype,
+    # and the inline text goes out in parts, never joined into one string
+    tracemalloc.start()
+    try:
+        save_document(tmp_path / "t.json", lenet_doc, weights_mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / written).stat().st_size
+    assert size > 4_000_000
+    assert peak <= bound * size, (peak, size)
