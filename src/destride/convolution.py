@@ -58,30 +58,14 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     one item's is.  One feature map, or a batch that fits one slice, is one
     product.
 
-    A call checks that the shapes fit, then takes the two steps that forward
-    keeps apart: Im2col.of works out the window, column and output shapes,
-    which forward plans once per network from the shapes the layer walk has
-    already checked, and Im2col.apply reads the weights and multiplies,
-    which forward does at every call.
+    A call is the two steps that forward keeps apart: Im2col.of checks the
+    shapes and works out the window, column and output shapes, which forward
+    plans once per network, and Im2col.apply reads the weights and
+    multiplies, which forward does at every call.
     """
     w = np.asarray(weights, dtype=np.float64)
     # the window view is laid over x's buffer, which must be C-ordered
     x = np.asarray(feature_map, dtype=np.float64, order="C")
-    if w.ndim != 4:
-        raise ValueError(f"weights must be 4-D (out, in, row, col), got rank {w.ndim}")
-    if x.ndim not in (3, 4):
-        raise ValueError(
-            "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
-            f"col), got rank {x.ndim}"
-        )
-    c, h, wd = x.shape[-3:]
-    _, cin, a, b = w.shape
-    if cin != c:
-        raise ValueError(f"filter expects {cin} input channels, feature map has {c}")
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    if a > h or b > wd:
-        raise ValueError(f"filter {(a, b)} larger than image {(h, wd)}")
     geometry = Im2col.of(w.shape, x.shape, stride)
     batch = x.shape[:-3]
     return geometry.apply(w, x, batch).reshape(*batch, *geometry.out)
@@ -104,11 +88,25 @@ class Im2col(NamedTuple):
     @classmethod
     def of(cls, weight_shape, map_shape, stride: int) -> "Im2col":
         """The geometry of weights of weight_shape over feature maps of
-        map_shape, (channels, h, w) or (N, channels, h, w), at stride.  The
-        shapes must fit, which is the caller's check: conv_multichannel
-        makes it, and forward plans from shapes the layer walk has made."""
+        map_shape, (channels, h, w) or (N, channels, h, w), at stride; a
+        ValueError when they do not fit."""
+        if len(weight_shape) != 4:
+            raise ValueError(
+                f"weights must be 4-D (out, in, row, col), got rank {len(weight_shape)}"
+            )
+        if len(map_shape) not in (3, 4):
+            raise ValueError(
+                "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
+                f"col), got rank {len(map_shape)}"
+            )
         c, h, wd = map_shape[-3:]
-        out_c, _, a, b = weight_shape
+        out_c, cin, a, b = weight_shape
+        if cin != c:
+            raise ValueError(f"filter expects {cin} input channels, feature map has {c}")
+        if stride < 1:
+            raise ValueError(f"stride must be at least 1, got {stride}")
+        if a > h or b > wd:
+            raise ValueError(f"filter {tuple(weight_shape[2:])} larger than image {(h, wd)}")
         oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
         # numpy checks that the window view stays inside its buffer, which
         # holds as (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd

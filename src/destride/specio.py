@@ -43,11 +43,12 @@ transform), passes every string through json's C encode_basestring_ascii,
 writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
 bytes in one call.  Both files are replaced in place (_write_over): an
-existing file is written over from its start, keeping its inode, and then
-cut to the new length; a target that is not a regular file, such as
-/dev/null or a FIFO, is written but not cut.  A write that fails part way
-leaves the new head over the old file's tail.  The reader builds each
-layer and the network once and then gives the layers their weights, and it
+existing file is written over from its start, keeping its inode, and then,
+if it was longer, cut to the new length; a target that is not a regular
+file, such as /dev/null or a FIFO, is written but not cut.  A write that
+fails part way cuts a regular file to nothing, so no document is left that
+loads the new head over the old tail.  The reader builds each layer and
+the network once and then gives the layers their weights, and it
 type-checks the input map's entries in one pass, going entry by entry only
 to name a malformed one.
 
@@ -73,6 +74,7 @@ and -Infinity load.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -449,24 +451,31 @@ def _write_over(path, parts, mode: str) -> None:
     written as UTF-8 in mode "w" or bytes-like in mode "wb", one after the
     other.
 
-    The file is written from its start and then cut to the written length,
-    rather than truncated when opened: where a filesystem frees blocks
-    eagerly (ext4 mounted with discard), a truncating open of a file that
-    holds data costs more than writing a small document.  The file keeps
-    its inode and permissions, and a shorter text leaves no stale tail.  A
-    target that is not a regular file (/dev/null, a FIFO, a pipe behind
-    /dev/stdout) cannot be cut and is only written.  A write that fails
-    part way leaves the new head over the old file's tail."""
-    with open(path, mode, encoding=None if "b" in mode else "utf-8", opener=_no_truncate) as f:
-        f.writelines(parts)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
-
-
-def _no_truncate(path, flags) -> int:
-    """open()'s opener for _write_over: the flags of mode "w" less the one
-    that truncates, and the mode bits open() creates a file with."""
-    return os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    The file is written from its start and then, if it was longer, cut to
+    the written length, rather than truncated when opened: where a
+    filesystem frees blocks eagerly (ext4 mounted with discard), a
+    truncating open of a file that holds data costs more than writing a
+    small document.  A new file or one no longer than the text is not cut,
+    so that writing to a new path costs what it did with a truncating open.
+    The file keeps its inode and permissions, and a shorter text leaves no
+    stale tail.  A target that is not a regular file (/dev/null, a FIFO, a
+    pipe behind /dev/stdout) cannot be cut and is only written.  A write
+    that fails part way cuts a regular file to nothing, so that new head
+    over old tail cannot pass for the old document or its sidecar."""
+    f = open(path, mode, encoding=None if "b" in mode else "utf-8",
+             opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
+    try:
+        with f:
+            old = os.fstat(f.fileno())
+            f.writelines(parts)
+            if stat.S_ISREG(old.st_mode) and old.st_size > f.tell():
+                f.truncate()
+    except BaseException:
+        # cut after the close, so that nothing still buffered lands past it
+        if os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.truncate(path, 0)
+        raise
 
 
 def _inline_array(w) -> list[str]:

@@ -1,7 +1,10 @@
 import importlib
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -760,3 +763,47 @@ def test_save_peak_memory_of_transformed_lenet(tmp_path, lenet_doc, mode, writte
     size = (tmp_path / written).stat().st_size
     assert size > 4_000_000
     assert peak <= bound * size, (peak, size)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
+@pytest.mark.parametrize("mode, stopped", [
+    ("sidecar", "a.weights.bin"),
+    ("inline", "a.json"),
+])
+def test_a_write_that_stops_part_way_leaves_no_document_to_load(tmp_path, mode, stopped):
+    # The new weights are the old ones in reverse, so the new files are as
+    # long as the old ones, and a file size limit stops the write over them
+    # half way.  The writer does not truncate on opening, so unless it cuts
+    # the file after the failure, the new head over the old tail would keep
+    # its length and the old document would load it.
+    spec = _small_net(seed=1)
+    flipped = replace(spec, layers=tuple(
+        replace(layer, weights=np.flip(layer.weights).copy())
+        if getattr(layer, "weights", None) is not None else layer
+        for layer in spec.layers
+    ))
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, net in ((old, spec), (new, flipped)):
+        d.mkdir()
+        save_document(d / "a.json", SpecDocument(network=net), weights_mode=mode)
+    assert (old / stopped).stat().st_size == (new / stopped).stat().st_size
+    limit = (old / stopped).stat().st_size // 2
+    child = f"""
+import resource, signal, sys
+from destride import load_document, save_document
+doc = load_document(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+save_document(sys.argv[2], doc, weights_mode="{mode}")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(new / "a.json"), str(old / "a.json")],
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode != 0
+    assert "File too large" in done.stderr, done.stderr
+    assert (old / stopped).stat().st_size == 0
+    with pytest.raises(SpecFormatError):
+        load_document(old / "a.json")
