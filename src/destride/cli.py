@@ -128,6 +128,8 @@ def cmd_transform(args) -> int:
         network=result.network,
         transform=TransformMetadata(source=spec.name, input_map=result.input_map),
     )
+    # the table first, also when the document goes to standard output
+    sys.stdout.flush()
     save_document(args.output, out, weights_mode=doc.weights_mode)
     print(f"\nwrote {args.output}")
     return 0

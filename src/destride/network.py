@@ -32,9 +32,13 @@ class ConvLayer:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "channels_out", _integer(self.channels_out, "channels_out"))
-        object.__setattr__(self, "kernel", tuple(_integer(v, "kernel") for v in self.kernel))
-        object.__setattr__(self, "stride", _integer(self.stride, "stride"))
+        # exact ints and an int tuple, as a document's reader passes them,
+        # are already what _integer makes
+        if not (type(self.channels_out) is type(self.stride) is int
+                and type(self.kernel) is tuple and set(map(type, self.kernel)) <= {int}):
+            object.__setattr__(self, "channels_out", _integer(self.channels_out, "channels_out"))
+            object.__setattr__(self, "kernel", tuple(_integer(v, "kernel") for v in self.kernel))
+            object.__setattr__(self, "stride", _integer(self.stride, "stride"))
         kh, kw = self.kernel
         if self.channels_out < 1 or kh < 1 or kw < 1:
             raise ValueError(f"conv layer needs positive channels and kernel, got {self}")
@@ -59,7 +63,8 @@ class FullyConnectedLayer:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "units", _integer(self.units, "units"))
+        if type(self.units) is not int:
+            object.__setattr__(self, "units", _integer(self.units, "units"))
         if self.units < 1:
             raise ValueError(f"fully connected layer needs positive units, got {self.units}")
 
@@ -79,10 +84,12 @@ class NetworkSpec:
         for field in ("name", "provenance"):
             if not isinstance(getattr(self, field), str):
                 raise ValueError(f"{field} must be a str, got {getattr(self, field)!r}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(
-            self, "input_shape", tuple(_integer(v, "input_shape") for v in self.input_shape)
-        )
+        if type(self.layers) is not tuple:
+            object.__setattr__(self, "layers", tuple(self.layers))
+        if not (type(self.input_shape) is tuple and set(map(type, self.input_shape)) <= {int}):
+            object.__setattr__(
+                self, "input_shape", tuple(_integer(v, "input_shape") for v in self.input_shape)
+            )
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ValueError(f"input shape must be (channels, h, w) >= 1, got {self.input_shape}")
 

@@ -2,7 +2,7 @@
 
 A document is a JSON object, and every object in it carries exactly the
 keys shown (_KEYS lists them), except that "weights", "transform",
-"provenance" and a conv's "stride" may be left out:
+"provenance", a conv's "stride" and a sidecar's "crc32" may be left out:
 
     {
       "schema_version": 1,
@@ -17,13 +17,17 @@ keys shown (_KEYS lists them), except that "weights", "transform",
       },
       "weights": {"mode": "inline", "arrays": {"<layer index>": [flat floats...]}}
               or {"mode": "sidecar", "path": "relative/file.bin",
-                  "lengths": {"<layer index>": count}},
+                  "lengths": {"<layer index>": count}, "crc32": checksum},
       "transform": {"source": name,
                     "input_map": {"stride": s, "entries": [[k, p, q], ...]}}
     }
 
 A sidecar "path" is relative to the document's directory, and the file it
 names is raw little-endian float64, layers concatenated in index order.
+"crc32" is zlib.crc32 of the sidecar's bytes.  The writer always records
+it, and the reader refuses a sidecar whose bytes do not match it; a
+sidecar document without the key (as benchmarks/reference.py writes its
+originals) still loads, unchecked.
 Inline decimal values round-trip bit-exactly (shortest-repr floats);
 sidecars are the raw bytes, so both modes reload to identical arrays.  A
 layer-index key is the canonical decimal str(i) of a parameterized layer,
@@ -45,12 +49,24 @@ weight array as C-encoded chunks (_inline_array), and writes a sidecar's
 bytes in one call.  Both files are replaced in place (_write_over): an
 existing file is written over from its start, keeping its inode, and then,
 if it was longer, cut to the new length; a target that is not a regular
-file, such as /dev/null or a FIFO, is written but not cut.  A write that
-fails part way cuts a regular file to nothing, so no document is left that
-loads the new head over the old tail.  The reader builds each layer and
-the network once and then gives the layers their weights, and it
-type-checks the input map's entries in one pass, going entry by entry only
-to name a malformed one.
+file, such as /dev/null or a FIFO, is written but not cut.  The sidecar is
+written before its document, so a writer stopped anywhere in between,
+even killed with no handler run, leaves a sidecar that fails the crc32 of
+the document beside it.
+
+The reader reads each object once.  One module-level JSONDecoder parses
+the text (with json.loads's refusal of a byte order mark), and an object
+as the writer writes it passes one comparison of its key set with _KEYS
+and exact type tests of its fields (type(v) is int), and is built at once:
+the layer constructors take its ints and tuples as they are, and
+ChannelMap makes the input map's entries tuples and checks their types in
+its one pass.  An object that fails a test goes through field-by-field
+helpers (_checked_layer, _checked_transform, _require), only to name what
+is wrong, so every message is the one those helpers always gave.  A
+sidecar is read by one open, an fstat and one readinto a bytearray, so
+that its arrays are writable and aligned without a copy.  Paths go
+through os.path; a message names a path as pathlib spells it, worked out
+only when there is a message.
 
 The transform block links a transformed document to its source.  The
 rewrite writes the input map's entries in source-major order
@@ -59,9 +75,9 @@ read, since the transformed network's first conv can read its input
 channels in any order.
 
 Every integer field (channels_out, kernel, stride, units, input_shape, the
-input map's stride and entries, sidecar lengths) must be a JSON integer:
-floats and booleans are rejected, not coerced, and sidecar lengths must not
-be negative.  A sidecar must hold exactly 8 bytes per value the lengths
+input map's stride and entries, sidecar lengths and crc32) must be a JSON
+integer: floats and booleans are rejected, not coerced, and sidecar lengths
+must not be negative.  A sidecar must hold exactly 8 bytes per value the lengths
 declare, with no trailing bytes.  A key not shown for its object (a
 layer's of another kind, a weights block's of the other mode, or the dense
 "input_permutation" and transform "flatten_permutation" that earlier
@@ -80,6 +96,7 @@ import json
 import math
 import os
 import stat
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,6 +147,8 @@ def _int(val, where):
 
 
 def _ints(val, where):
+    if type(val) is list and set(map(type, val)) <= {int}:
+        return tuple(val)
     if not isinstance(val, list):
         raise SpecFormatError(f"{where}: expected a list of integers, got {val!r}")
     return tuple(_int(v, where) for v in val)
@@ -147,9 +166,8 @@ def _require(obj, key, kind, where):
 
 
 def _reject_unknown(obj, known, where):
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise SpecFormatError(f"{where}: unknown field {unknown[0]!r}")
+    if not obj.keys() <= known:
+        raise SpecFormatError(f"{where}: unknown field {sorted(set(obj) - known)[0]!r}")
 
 
 # the keys save_document writes, the only ones each object may carry
@@ -163,7 +181,7 @@ _KEYS = {
     },
     "weights": {
         "inline": {"mode", "arrays"},
-        "sidecar": {"mode", "path", "lengths"},
+        "sidecar": {"mode", "path", "lengths", "crc32"},
     },
     "transform": {"source", "input_map"},
     "transform.input_map": {"stride", "entries"},
@@ -171,6 +189,25 @@ _KEYS = {
 
 
 def _layer_from_json(i, obj):
+    """Layer i of a document.  A layer as the writer writes it, with the
+    keys of its kind and exact integers, is built at once; any other goes
+    to _checked_layer, whose checks name what is wrong with it."""
+    if type(obj) is dict:
+        kind, keys = obj.get("kind"), _KEYS["layer"]
+        if kind == "conv" and obj.keys() == keys["conv"]:
+            c, k, s = obj["channels_out"], obj["kernel"], obj["stride"]
+            if type(c) is type(s) is int and type(k) is list and list(map(type, k)) == [int, int]:
+                return ConvLayer(c, tuple(k), s)
+        elif kind == "activation" and obj.keys() == keys["activation"]:
+            if type(obj["function"]) is str:
+                return ActivationLayer(obj["function"])
+        elif kind == "fully_connected" and obj.keys() == keys["fully_connected"]:
+            if type(obj["units"]) is int:
+                return FullyConnectedLayer(obj["units"])
+    return _checked_layer(i, obj)
+
+
+def _checked_layer(i, obj):
     where = f"layer {i}"
     kind = _require(obj, "kind", str, where)
     if kind not in _KEYS["layer"]:
@@ -188,34 +225,37 @@ def _layer_from_json(i, obj):
 
 
 def _network_from_json(obj) -> NetworkSpec:
-    _reject_unknown(obj, _KEYS["network"], "network")
-    name = _require(obj, "name", str, "network")
-    provenance = (
-        _require(obj, "provenance", str, "network") if "provenance" in obj else "original"
-    )
-    shape = _require(obj, "input_shape", list, "network")
-    layers_json = _require(obj, "layers", list, "network")
+    name, provenance = obj.get("name"), obj.get("provenance", "original")
+    shape, layers_json = obj.get("input_shape"), obj.get("layers")
+    # a writer's network passes these tests; any other is checked field by
+    # field, for the message that names its first fault
+    if not (obj.keys() <= _KEYS["network"] and type(name) is type(provenance) is str
+            and type(shape) is type(layers_json) is list):
+        _reject_unknown(obj, _KEYS["network"], "network")
+        name = _require(obj, "name", str, "network")
+        provenance = (
+            _require(obj, "provenance", str, "network") if "provenance" in obj else "original"
+        )
+        shape = _require(obj, "input_shape", list, "network")
+        layers_json = _require(obj, "layers", list, "network")
     try:
         layers = tuple(_layer_from_json(i, l) for i, l in enumerate(layers_json))
-        return NetworkSpec(
-            name=name,
-            input_shape=_ints(shape, "network: input_shape"),
-            layers=layers,
-            provenance=provenance,
-        )
+        return NetworkSpec(name, _ints(shape, "network: input_shape"), layers, provenance)
     except SpecFormatError:
         raise
     except (ValueError, TypeError) as e:
         raise SpecFormatError(f"network: {e}") from None
 
 
-def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> None:
+def _attach_weights(network: NetworkSpec, wobj, doc_path: str) -> None:
     """Read the weights block into network's layers.  They are the reader's
     own, just built and not yet handed out, so each is given its weights in
     place rather than built a second time."""
     expected = {
         i: wshape for i, (_, _, wshape) in enumerate(_walk(network)) if wshape is not None
     }
+    # the canonical key of each parameterized layer (_weight_index)
+    index = {str(i): i for i in expected}
     mode = _require(wobj, "mode", str, "weights")
     if mode not in _KEYS["weights"]:
         raise SpecFormatError(f"weights: unknown mode {mode!r}")
@@ -224,7 +264,7 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> None:
     if mode == "inline":
         arrays = _require(wobj, "arrays", dict, "weights")
         for key, values in arrays.items():
-            idx = _weight_index(key, expected)
+            idx = _weight_index(key, index)
             # exact types: bool is an int subclass and must not load as 0/1
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
                 raise SpecFormatError(f"weights: layer {idx} must be a flat list of numbers")
@@ -242,21 +282,13 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> None:
     else:
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
-        counts = {
-            _weight_index(k, expected): _int(v, "weights: lengths") for k, v in lengths.items()
-        }
+        crc = _require(wobj, "crc32", int, "weights") if "crc32" in wobj else None
+        counts = {_weight_index(k, index): _int(v, "weights: lengths") for k, v in lengths.items()}
         for idx, n in counts.items():
             if n < 0:
                 raise SpecFormatError(f"weights: layer {idx} has negative length {n}")
-        path = doc_dir / rel
-        blob = np.fromfile(path, dtype="<f8")
-        # fromfile drops a partial last value, so the byte size is what counts
-        nbytes, total = path.stat().st_size, sum(counts.values())
-        if nbytes != 8 * total:
-            raise SpecFormatError(
-                f"weights: sidecar holds {nbytes} bytes, lengths declare {total} "
-                f"values ({8 * total} bytes)"
-            )
+        total = sum(counts.values())
+        blob = _read_sidecar(os.path.join(os.path.dirname(doc_path), rel), total, crc)
         pos = 0
         for idx in sorted(counts):
             flats[idx] = blob[pos : pos + counts[idx]]
@@ -272,36 +304,76 @@ def _attach_weights(network: NetworkSpec, wobj, doc_dir: Path) -> None:
         object.__setattr__(network.layers[idx], "weights", flat.reshape(want))
 
 
-def _weight_index(key: str, expected: dict) -> int:
-    """The layer index a weights key names.  Only the canonical str(i) is
-    accepted: "00", "+0" or " 0" would alias layer 0, and the later of two
-    such keys would silently replace the earlier's values."""
+def _read_sidecar(name: str, total: int, crc) -> np.ndarray:
+    """The float64 values of the sidecar file name, read by one open, an
+    fstat and one read into a bytearray, so that the arrays over it are
+    writable without a copy.  The file must hold exactly total values, 8
+    bytes each, and their crc32 must be crc unless crc is None."""
+    try:
+        with open(name, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            nbytes = f.readinto(buf)
+    except OSError as e:
+        _name_as_pathlib(e)
+        raise
+    if nbytes != 8 * total:
+        raise SpecFormatError(
+            f"weights: sidecar holds {nbytes} bytes, lengths declare {total} "
+            f"values ({8 * total} bytes)"
+        )
+    if crc is not None and (got := zlib.crc32(buf)) != crc:
+        raise SpecFormatError(
+            f"weights: sidecar checksum mismatch: its bytes have crc32 {got}, "
+            f"the document records {crc}"
+        )
+    return np.frombuffer(buf, dtype="<f8")
+
+
+def _name_as_pathlib(e: OSError) -> None:
+    """Name e's file as pathlib spells its path ("a//./b" as "a/b"), the
+    one spelling every message of the reader gives a path."""
+    if e.filename is not None:
+        e.filename = str(Path(e.filename))
+
+
+def _weight_index(key: str, index: dict) -> int:
+    """The layer index a weights key names, given index, the canonical key
+    str(i) of each parameterized layer i.  Only those are accepted: "00",
+    "+0" or " 0" would alias layer 0, and the later of two such keys would
+    silently replace the earlier's values."""
+    if key in index:
+        return index[key]
     try:
         idx = int(key)
     except (TypeError, ValueError):
         raise SpecFormatError(f"weights: bad layer index {key!r}") from None
     if key != str(idx):
         raise SpecFormatError(f"weights: layer index {key!r} must be written {str(idx)!r}")
-    if idx not in expected:
-        raise SpecFormatError(f"weights: layer {idx} is not a parameterized layer")
-    return idx
+    raise SpecFormatError(f"weights: layer {idx} is not a parameterized layer")
 
 
 def _transform_from_json(obj) -> TransformMetadata:
+    """The transform block.  The input map of a writer's block goes to
+    ChannelMap as it is, whose one pass over the entries makes them tuples
+    and checks their types; a block it refuses, or of other keys or
+    types, goes to _checked_transform, which names what is wrong."""
+    imap = obj.get("input_map")
+    if (obj.keys() == _KEYS["transform"] and type(obj["source"]) is str
+            and type(imap) is dict and imap.keys() == _KEYS["transform.input_map"]
+            and type(imap["stride"]) is int and type(imap["entries"]) is list):
+        with contextlib.suppress(ValueError, TypeError):
+            return TransformMetadata(obj["source"], ChannelMap(imap["stride"], imap["entries"]))
+    return _checked_transform(obj)
+
+
+def _checked_transform(obj) -> TransformMetadata:
     _reject_unknown(obj, _KEYS["transform"], "transform")
     source = _require(obj, "source", str, "transform")
     imap = _require(obj, "input_map", dict, "transform")
     _reject_unknown(imap, _KEYS["transform.input_map"], "transform.input_map")
     entries = _require(imap, "entries", list, "transform.input_map")
     stride = _require(imap, "stride", int, "transform.input_map")
-    # one pass over lists of JSON integers, the entries a writer writes;
-    # anything else is checked entry by entry, for the message that names it
-    if set(map(type, entries)) <= {list} and set(
-        map(type, itertools.chain.from_iterable(entries))
-    ) <= {int}:
-        entries = tuple(map(tuple, entries))
-    else:
-        entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
+    entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
     try:
         return TransformMetadata(source, ChannelMap(stride=stride, entries=entries))
     except (ValueError, TypeError) as e:
@@ -317,43 +389,66 @@ _CONSTANTS = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float(
 def _unique_keys(pairs) -> dict:
     """json object_pairs_hook: json.loads alone keeps the last of two equal
     keys, so a repeated "0" in "arrays" would silently replace the first."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SpecFormatError(f"key {key!r} appears twice in one object")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecFormatError(f"key {key!r} appears twice in one object")
+            seen.add(key)
     return obj
+
+
+# the one decoder of every load: json.loads would build one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_CONSTANTS.__getitem__)
 
 
 def load_document(path) -> SpecDocument:
     """Parse and validate a spec document (and its sidecar, if any)."""
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        raw = json.loads(
-            path.read_text(encoding="utf-8"),
-            object_pairs_hook=_unique_keys,
-            parse_constant=_CONSTANTS.__getitem__,
-        )
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        # json.loads refuses a byte order mark before it decodes, as must this
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SpecFormatError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise SpecFormatError(f"{path}: top level must be an object")
-    version = _require(raw, "schema_version", int, str(path))
+        raise SpecFormatError(f"{Path(path)}: not valid JSON ({e})") from None
+    except OSError as e:
+        _name_as_pathlib(e)
+        raise
+    # messages name the document as pathlib spells it, worked out only for
+    # a document that fails a check
+    if type(raw) is not dict:
+        raise SpecFormatError(f"{Path(path)}: top level must be an object")
+    version = raw.get("schema_version")
+    if type(version) is not int:
+        _require(raw, "schema_version", int, str(Path(path)))
     if version != SCHEMA_VERSION:
         raise SpecFormatError(
-            f"{path}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
+            f"{Path(path)}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
-    _reject_unknown(raw, _KEYS["document"], str(path))
-    network = _network_from_json(_require(raw, "network", dict, str(path)))
+    if not raw.keys() <= _KEYS["document"]:
+        _reject_unknown(raw, _KEYS["document"], str(Path(path)))
+    network = _network_from_json(_object(raw, "network", path))
     mode = None
     if "weights" in raw:
-        wobj = _require(raw, "weights", dict, str(path))
-        _attach_weights(network, wobj, path.parent)
+        wobj = _object(raw, "weights", path)
+        _attach_weights(network, wobj, path)
         mode = wobj["mode"]
     meta = None
     if "transform" in raw:
-        meta = _transform_from_json(_require(raw, "transform", dict, str(path)))
+        meta = _transform_from_json(_object(raw, "transform", path))
     return SpecDocument(network=network, transform=meta, weights_mode=mode)
+
+
+def _object(raw, key, path):
+    """The document's field key, which must be a JSON object."""
+    val = raw.get(key)
+    if type(val) is not dict:
+        _require(raw, key, dict, str(Path(path)))
+    return val
 
 
 # One format per object kind, each at the depth where the closed schema puts
@@ -369,7 +464,10 @@ _CONV = (
 )
 _ACTIVATION = '{\n    "kind": "activation",\n    "function": %s\n   }'
 _DENSE = '{\n    "kind": "fully_connected",\n    "units": %d\n   }'
-_SIDECAR = ',\n "weights": {\n  "mode": "sidecar",\n  "path": %s,\n  "lengths": %s\n }'
+_SIDECAR = (
+    ',\n "weights": {\n  "mode": "sidecar",\n  "path": %s,\n  "lengths": %s,\n'
+    '  "crc32": %d\n }'
+)
 _TRANSFORM = (
     ',\n "transform": {\n  "source": %s,\n  "input_map": {\n   "stride": %d,\n'
     '   "entries": %s\n  }\n }'
@@ -431,7 +529,8 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
             parts.append(_SIDECAR % (
-                _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}")
+                _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}"),
+                zlib.crc32(blob),
             ))
     if doc.transform is not None:
         imap = doc.transform.input_map
@@ -460,8 +559,13 @@ def _write_over(path, parts, mode: str) -> None:
     The file keeps its inode and permissions, and a shorter text leaves no
     stale tail.  A target that is not a regular file (/dev/null, a FIFO, a
     pipe behind /dev/stdout) cannot be cut and is only written.  A write
-    that fails part way cuts a regular file to nothing, so that new head
-    over old tail cannot pass for the old document or its sidecar."""
+    that raises part way (a full disk, a file size limit whose signal is
+    ignored) cuts a regular file to nothing, so that the file is refused
+    rather than read as new head over old tail.  A writer killed part way
+    (SIGKILL, SIGXFSZ at its default action) runs no handler and cuts
+    nothing: its sidecar is refused by the crc32 its document records, and
+    a document is refused only when its cut text fails to parse or to
+    agree with itself."""
     f = open(path, mode, encoding=None if "b" in mode else "utf-8",
              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666))
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,10 @@ def document_text(path, doc, weights_mode=None, sidecar_path=None):
             "mode": "sidecar",
             "path": os.path.relpath(sidecar, path.parent),
             "lengths": {str(i): int(carrying[i].size) for i in sorted(carrying)},
+            # of the sidecar's bytes: each array as little-endian float64
+            "crc32": zlib.crc32(b"".join(
+                np.asarray(carrying[i], dtype="<f8").tobytes() for i in sorted(carrying)
+            )),
         }
     if doc.transform is not None:
         out["transform"] = {

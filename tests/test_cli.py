@@ -1,9 +1,13 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -186,11 +190,20 @@ def test_verify_json_output(pair, capsys):
 def test_verify_corrupted_weights_fails(pair, tmp_path, capsys):
     for name in ("orig.json", "orig.weights.bin", "trans.json", "trans.weights.bin"):
         shutil.copy(pair / name, tmp_path / name)
+    verify = ["verify", str(tmp_path / "orig.json"), str(tmp_path / "trans.json"),
+              "--trials", "5"]
+    # a value changed in the sidecar's bytes no longer matches their checksum
     blob = np.fromfile(tmp_path / "trans.weights.bin", dtype="<f8")
     blob[5] += 0.25
     blob.tofile(tmp_path / "trans.weights.bin")
-    rc = main(["verify", str(tmp_path / "orig.json"), str(tmp_path / "trans.json"),
-               "--trials", "5"])
+    assert main(verify) == 2
+    assert "checksum" in capsys.readouterr().err
+    # the same change saved by the writer, with its checksum: verify fails it
+    shutil.copy(pair / "trans.weights.bin", tmp_path / "trans.weights.bin")
+    doc = load_document(tmp_path / "trans.json")
+    doc.network.layers[0].weights.flat[5] += 0.25
+    save_document(tmp_path / "trans.json", doc, weights_mode="sidecar")
+    rc = main(verify)
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
@@ -382,7 +395,9 @@ def test_report_json_round_trips(tmp_path, capsys):
 
 # sha256 of each output below as json.dumps(..., indent=1) spelled it when
 # it wrote every document and every --json output: the format strings and
-# flat C-encoder calls that write them now must give the same bytes
+# flat C-encoder calls that write them now must give the same bytes.  The
+# sidecar-mode original and document digests are of documents that carry
+# their sidecar's crc32.
 GOLDEN_DIGESTS = {
     "lenet-inline:original":
         "03b461d0afeb362aa43270a7eaf2666edc5431e5437a4cf825625b518ab0ba1e",
@@ -393,9 +408,9 @@ GOLDEN_DIGESTS = {
     "lenet-inline:report":
         "129193f419a4d9cab38b6f248e74470afbbbb7f2ad786d5c98d19d00066a1091",
     "lenet-sidecar:original":
-        "9ad70f0509b5056954b6d14057ae3f22216b497670e73a09ad820ed3c46d93e3",
+        "e620668b932acd0753e4f51d79ba746bfa03c6da183bb5f2a15d95fa3a6c9325",
     "lenet-sidecar:document":
-        "f7123aaabf7404f4a5c3ba4723b84f4fd08e7da20b24e255f4f08f06145d42ed",
+        "45ab41b28b9d699964612dc12816016a10e1f554babf13a304e38207b46a491e",
     "lenet-sidecar:verify":
         "81a130187dbeaf2818f21ace388817592bd24b19f31ae74a7d160562ed7b00c2",
     "lenet-sidecar:report":
@@ -413,9 +428,9 @@ GOLDEN_DIGESTS = {
     "random-inline:report":
         "1cb4c332180195e1328bb37c13441744fc2d411bd7993abaa4df1632576d000b",
     "random-sidecar:original":
-        "d140308ff042aa0c17fcb2744b0691096e30f176de5a182a31fe990771a00ed4",
+        "087fdc4594e9f5e1f00b1aac7acaf46d7128e2867ddab2e9a95a9a10322d43e8",
     "random-sidecar:document":
-        "71c4a32c62488adb8d09f93c61ee285ed3f191000319ff8206c295d01c8b6e39",
+        "581f8d6ed0c71cbd426aeb95cc498661f35bec0bb2da8ee0077e2d6cc1ce967a",
     "random-sidecar:verify":
         "f3d7aeacbb9801d3d8e33a3861155146b7b98b274a190d87fc390a6c84483db6",
     "random-sidecar:report":
@@ -455,24 +470,72 @@ def test_outputs_keep_their_recorded_digests(tmp_path, capsys):
     assert got == GOLDEN_DIGESTS
 
 
-@pytest.mark.skipif(
-    hasattr(os, "geteuid") and os.geteuid() == 0,
-    reason="mode bits do not bind root, which may write over a read-only file",
-)
+def _transform_into_a_read_only_output(directory, mode, read_only):
+    """(exit code, standard error, the kept file's bytes) of a transform
+    into directory/out.json, where the file read_only is already there
+    with mode 0444."""
+    directory = Path(directory)
+    spec = init_params(_random_net(3), seed=3)
+    save_document(directory / "in.json", SpecDocument(network=spec), weights_mode=mode)
+    kept = directory / read_only
+    kept.write_bytes(b"old bytes, longer than nothing\n")
+    kept.chmod(0o444)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["transform", str(directory / "in.json"), str(directory / "out.json")])
+    return rc, err.getvalue(), kept.read_bytes()
+
+
+# an unprivileged uid and gid ("nobody" on most systems)
+NOBODY = 65534
+
+
+def _as_nobody(mode, read_only):
+    """_transform_into_a_read_only_output run by uid and gid NOBODY, for a
+    root that mode bits do not bind.  The source tree may sit where NOBODY
+    cannot read, so the child first runs the same steps as root, in a
+    directory of its own, to import every module they use.  Then it works
+    in a directory NOBODY owns: pytest's tmp_path lies under a directory of
+    mode 0700."""
+    child = f"""
+import os, sys
+sys.path[:0] = [{str(Path(__file__).resolve().parent)!r}]
+import test_cli
+os.mkdir(os.path.join(sys.argv[1], "root"))
+test_cli._transform_into_a_read_only_output(os.path.join(sys.argv[1], "root"), *sys.argv[2:])
+os.setgroups([])
+os.setgid({NOBODY})
+os.setuid({NOBODY})
+print(repr(test_cli._transform_into_a_read_only_output(*sys.argv[1:])))
+"""
+    directory = tempfile.mkdtemp()
+    try:
+        os.chown(directory, NOBODY, NOBODY)
+        done = subprocess.run(
+            [sys.executable, "-c", child, directory, mode, read_only],
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        shutil.rmtree(directory)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("mode, read_only", [
     ("inline", "out.json"),
     ("sidecar", "out.json"),
     ("sidecar", "out.weights.bin"),
 ])
-def test_transform_into_a_read_only_output_exits_4_and_keeps_it(tmp_path, capsys, mode, read_only):
-    spec = init_params(_random_net(3), seed=3)
-    save_document(tmp_path / "in.json", SpecDocument(network=spec), weights_mode=mode)
-    kept = tmp_path / read_only
-    kept.write_bytes(b"old bytes, longer than nothing\n")
-    kept.chmod(0o444)
-    assert main(["transform", str(tmp_path / "in.json"), str(tmp_path / "out.json")]) == 4
-    assert "Permission denied" in capsys.readouterr().err
-    assert kept.read_bytes() == b"old bytes, longer than nothing\n"
+def test_transform_into_a_read_only_output_exits_4_and_keeps_it(tmp_path, mode, read_only):
+    if hasattr(os, "geteuid") and os.geteuid() == 0:
+        rc, err, kept = _as_nobody(mode, read_only)
+    else:
+        rc, err, kept = _transform_into_a_read_only_output(tmp_path, mode, read_only)
+    assert rc == 4
+    assert "Permission denied" in err
+    assert kept == b"old bytes, longer than nothing\n"
 
 
 def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys):
@@ -519,17 +582,21 @@ def test_transform_writes_to_a_device_and_a_pipe(tmp_path, capsys):
     capsys.readouterr()
     if not os.path.exists("/dev/stdout"):
         return
-    src = Path(__file__).resolve().parent.parent / "src"
+    # standard output into a pipe is block-buffered (PYTHONUNBUFFERED unset),
+    # and the document is written to /dev/stdout past that buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     done = subprocess.run(
         [sys.executable, "-m", "destride", "transform", str(FIXTURES / "lenet.json"),
          "/dev/stdout"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        env={**env, "PYTHONPATH": str(FIXTURES.parent / "src")},
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert main(["transform", str(FIXTURES / "lenet.json"), str(tmp_path / "t.json")]) == 0
-    capsys.readouterr()
-    # the document goes to the pipe as written, beside the buffered table
-    assert (tmp_path / "t.json").read_text() in done.stdout
+    trans = tmp_path / "t.json"
+    assert main(["transform", str(FIXTURES / "lenet.json"), str(trans)]) == 0
+    table = capsys.readouterr().out.removesuffix(f"\nwrote {trans}\n")
+    # the table first, then the document as written
+    assert done.stdout == table + trans.read_text() + "\nwrote /dev/stdout\n"
 
 
 def _edited_lenet_transform(tmp_path, edit):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -436,6 +437,342 @@ def test_malformed_transformed_values_keep_their_messages(tmp_path, edit, messag
     assert str(e.value) == message
 
 
+# every object kind of a document, as (base document, path to the object,
+# its fields); the bases are _small_net's transformed document with inline
+# and with sidecar weights
+OBJECTS = {
+    "document": ("inline", (), ("schema_version", "network", "weights", "transform")),
+    "network": ("inline", ("network",), ("name", "provenance", "input_shape", "layers")),
+    "conv": ("inline", ("network", "layers", 0), ("kind", "channels_out", "kernel", "stride")),
+    "activation": ("inline", ("network", "layers", 1), ("kind", "function")),
+    "fully_connected": ("inline", ("network", "layers", 2), ("kind", "units")),
+    "inline": ("inline", ("weights",), ("mode", "arrays")),
+    "arrays": ("inline", ("weights", "arrays"), ("0", "2")),
+    "sidecar": ("sidecar", ("weights",), ("mode", "path", "lengths")),
+    "lengths": ("sidecar", ("weights", "lengths"), ("0", "2")),
+    "transform": ("inline", ("transform",), ("source", "input_map")),
+    "input_map": ("inline", ("transform", "input_map"), ("stride", "entries")),
+}
+SPOILERS = {"float": 1.5, "bool": True, "string": "x", "null": None, "nested": [[1]]}
+
+
+def _spoilt_documents(tmp_path):
+    """(case, document text) for every field of every object kind given a
+    float, a bool, a string, null or a nested list, left out or repeated,
+    and for every object kind given one key more."""
+    spec = _small_net(seed=1)
+    bases = {}
+    for mode in ("inline", "sidecar"):
+        save_document(tmp_path / f"{mode}.json", _transformed(spec), weights_mode=mode)
+        bases[mode] = (tmp_path / f"{mode}.json").read_text()
+    for kind, (mode, where, fields) in OBJECTS.items():
+        for field in fields + ("extra",):
+            for spoil in (*SPOILERS, "missing", "repeated") if field != "extra" else ("extra",):
+                raw = json.loads(bases[mode])
+                obj = raw
+                for step in where:
+                    obj = obj[step]
+                if spoil in SPOILERS:
+                    obj[field] = SPOILERS[spoil]
+                elif spoil == "missing":
+                    del obj[field]
+                elif spoil == "extra":
+                    obj["extra"] = 0
+                value = obj.get(field)
+                if spoil == "repeated":
+                    obj[field] = "\0"
+                text = json.dumps(raw)
+                if spoil == "repeated":
+                    key, val = json.dumps(field), json.dumps(value)
+                    text = text.replace(f'{key}: "\\u0000"', f"{key}: {val}, {key}: {val}")
+                yield f"{kind}.{field}" + ("" if spoil == "extra" else f":{spoil}"), text
+
+
+def _rejections(tmp_path):
+    """case -> what load_document says of its document: None when it
+    loads, else its message (prefixed by its type unless it is a
+    SpecFormatError), with tmp_path spelled {tmp}."""
+    said = {}
+    p = tmp_path / "x.json"
+    for case, text in _spoilt_documents(tmp_path):
+        p.write_text(text)
+        try:
+            load_document(p)
+            said[case] = None
+        except Exception as e:
+            text = str(e) if type(e) is SpecFormatError else f"{type(e).__name__}: {e}"
+            said[case] = text.replace(str(tmp_path), "{tmp}")
+    return said
+
+
+# what load_document says of each spoilt document, None where it loads
+REJECTIONS = {
+    'document.schema_version:float': "{tmp}/x.json: field 'schema_version': expected an integer, got 1.5",
+    'document.schema_version:bool': "{tmp}/x.json: field 'schema_version': expected an integer, got True",
+    'document.schema_version:string': "{tmp}/x.json: field 'schema_version': expected an integer, got 'x'",
+    'document.schema_version:null': "{tmp}/x.json: field 'schema_version': expected an integer, got None",
+    'document.schema_version:nested': "{tmp}/x.json: field 'schema_version': expected an integer, got [[1]]",
+    'document.schema_version:missing': "{tmp}/x.json: missing field 'schema_version'",
+    'document.schema_version:repeated': "key 'schema_version' appears twice in one object",
+    'document.network:float': "{tmp}/x.json: field 'network' has wrong type float",
+    'document.network:bool': "{tmp}/x.json: field 'network' has wrong type bool",
+    'document.network:string': "{tmp}/x.json: field 'network' has wrong type str",
+    'document.network:null': "{tmp}/x.json: field 'network' has wrong type NoneType",
+    'document.network:nested': "{tmp}/x.json: field 'network' has wrong type list",
+    'document.network:missing': "{tmp}/x.json: missing field 'network'",
+    'document.network:repeated': "key 'network' appears twice in one object",
+    'document.weights:float': "{tmp}/x.json: field 'weights' has wrong type float",
+    'document.weights:bool': "{tmp}/x.json: field 'weights' has wrong type bool",
+    'document.weights:string': "{tmp}/x.json: field 'weights' has wrong type str",
+    'document.weights:null': "{tmp}/x.json: field 'weights' has wrong type NoneType",
+    'document.weights:nested': "{tmp}/x.json: field 'weights' has wrong type list",
+    'document.weights:missing': None,
+    'document.weights:repeated': "key 'weights' appears twice in one object",
+    'document.transform:float': "{tmp}/x.json: field 'transform' has wrong type float",
+    'document.transform:bool': "{tmp}/x.json: field 'transform' has wrong type bool",
+    'document.transform:string': "{tmp}/x.json: field 'transform' has wrong type str",
+    'document.transform:null': "{tmp}/x.json: field 'transform' has wrong type NoneType",
+    'document.transform:nested': "{tmp}/x.json: field 'transform' has wrong type list",
+    'document.transform:missing': None,
+    'document.transform:repeated': "key 'transform' appears twice in one object",
+    'document.extra': "{tmp}/x.json: unknown field 'extra'",
+    'network.name:float': "network: field 'name' has wrong type float",
+    'network.name:bool': "network: field 'name' has wrong type bool",
+    'network.name:string': None,
+    'network.name:null': "network: field 'name' has wrong type NoneType",
+    'network.name:nested': "network: field 'name' has wrong type list",
+    'network.name:missing': "network: missing field 'name'",
+    'network.name:repeated': "key 'name' appears twice in one object",
+    'network.provenance:float': "network: field 'provenance' has wrong type float",
+    'network.provenance:bool': "network: field 'provenance' has wrong type bool",
+    'network.provenance:string': None,
+    'network.provenance:null': "network: field 'provenance' has wrong type NoneType",
+    'network.provenance:nested': "network: field 'provenance' has wrong type list",
+    'network.provenance:missing': None,
+    'network.provenance:repeated': "key 'provenance' appears twice in one object",
+    'network.input_shape:float': "network: field 'input_shape' has wrong type float",
+    'network.input_shape:bool': "network: field 'input_shape' has wrong type bool",
+    'network.input_shape:string': "network: field 'input_shape' has wrong type str",
+    'network.input_shape:null': "network: field 'input_shape' has wrong type NoneType",
+    'network.input_shape:nested': 'network: input_shape: expected an integer, got [1]',
+    'network.input_shape:missing': "network: missing field 'input_shape'",
+    'network.input_shape:repeated': "key 'input_shape' appears twice in one object",
+    'network.layers:float': "network: field 'layers' has wrong type float",
+    'network.layers:bool': "network: field 'layers' has wrong type bool",
+    'network.layers:string': "network: field 'layers' has wrong type str",
+    'network.layers:null': "network: field 'layers' has wrong type NoneType",
+    'network.layers:nested': "layer 0: missing field 'kind'",
+    'network.layers:missing': "network: missing field 'layers'",
+    'network.layers:repeated': "key 'layers' appears twice in one object",
+    'network.extra': "network: unknown field 'extra'",
+    'conv.kind:float': "layer 0: field 'kind' has wrong type float",
+    'conv.kind:bool': "layer 0: field 'kind' has wrong type bool",
+    'conv.kind:string': "layer 0: unknown kind 'x'",
+    'conv.kind:null': "layer 0: field 'kind' has wrong type NoneType",
+    'conv.kind:nested': "layer 0: field 'kind' has wrong type list",
+    'conv.kind:missing': "layer 0: missing field 'kind'",
+    'conv.kind:repeated': "key 'kind' appears twice in one object",
+    'conv.channels_out:float': "layer 0: field 'channels_out': expected an integer, got 1.5",
+    'conv.channels_out:bool': "layer 0: field 'channels_out': expected an integer, got True",
+    'conv.channels_out:string': "layer 0: field 'channels_out': expected an integer, got 'x'",
+    'conv.channels_out:null': "layer 0: field 'channels_out': expected an integer, got None",
+    'conv.channels_out:nested': "layer 0: field 'channels_out': expected an integer, got [[1]]",
+    'conv.channels_out:missing': "layer 0: missing field 'channels_out'",
+    'conv.channels_out:repeated': "key 'channels_out' appears twice in one object",
+    'conv.kernel:float': "layer 0: field 'kernel' has wrong type float",
+    'conv.kernel:bool': "layer 0: field 'kernel' has wrong type bool",
+    'conv.kernel:string': "layer 0: field 'kernel' has wrong type str",
+    'conv.kernel:null': "layer 0: field 'kernel' has wrong type NoneType",
+    'conv.kernel:nested': 'layer 0: kernel: expected an integer, got [1]',
+    'conv.kernel:missing': "layer 0: missing field 'kernel'",
+    'conv.kernel:repeated': "key 'kernel' appears twice in one object",
+    'conv.stride:float': 'layer 0: stride: expected an integer, got 1.5',
+    'conv.stride:bool': 'layer 0: stride: expected an integer, got True',
+    'conv.stride:string': "layer 0: stride: expected an integer, got 'x'",
+    'conv.stride:null': 'layer 0: stride: expected an integer, got None',
+    'conv.stride:nested': 'layer 0: stride: expected an integer, got [[1]]',
+    'conv.stride:missing': None,
+    'conv.stride:repeated': "key 'stride' appears twice in one object",
+    'conv.extra': "layer 0 (conv): unknown field 'extra'",
+    'activation.kind:float': "layer 1: field 'kind' has wrong type float",
+    'activation.kind:bool': "layer 1: field 'kind' has wrong type bool",
+    'activation.kind:string': "layer 1: unknown kind 'x'",
+    'activation.kind:null': "layer 1: field 'kind' has wrong type NoneType",
+    'activation.kind:nested': "layer 1: field 'kind' has wrong type list",
+    'activation.kind:missing': "layer 1: missing field 'kind'",
+    'activation.kind:repeated': "key 'kind' appears twice in one object",
+    'activation.function:float': "layer 1: field 'function' has wrong type float",
+    'activation.function:bool': "layer 1: field 'function' has wrong type bool",
+    'activation.function:string': "network: unknown activation 'x', known: ['identity', 'relu']",
+    'activation.function:null': "layer 1: field 'function' has wrong type NoneType",
+    'activation.function:nested': "layer 1: field 'function' has wrong type list",
+    'activation.function:missing': "layer 1: missing field 'function'",
+    'activation.function:repeated': "key 'function' appears twice in one object",
+    'activation.extra': "layer 1 (activation): unknown field 'extra'",
+    'fully_connected.kind:float': "layer 2: field 'kind' has wrong type float",
+    'fully_connected.kind:bool': "layer 2: field 'kind' has wrong type bool",
+    'fully_connected.kind:string': "layer 2: unknown kind 'x'",
+    'fully_connected.kind:null': "layer 2: field 'kind' has wrong type NoneType",
+    'fully_connected.kind:nested': "layer 2: field 'kind' has wrong type list",
+    'fully_connected.kind:missing': "layer 2: missing field 'kind'",
+    'fully_connected.kind:repeated': "key 'kind' appears twice in one object",
+    'fully_connected.units:float': "layer 2: field 'units': expected an integer, got 1.5",
+    'fully_connected.units:bool': "layer 2: field 'units': expected an integer, got True",
+    'fully_connected.units:string': "layer 2: field 'units': expected an integer, got 'x'",
+    'fully_connected.units:null': "layer 2: field 'units': expected an integer, got None",
+    'fully_connected.units:nested': "layer 2: field 'units': expected an integer, got [[1]]",
+    'fully_connected.units:missing': "layer 2: missing field 'units'",
+    'fully_connected.units:repeated': "key 'units' appears twice in one object",
+    'fully_connected.extra': "layer 2 (fully_connected): unknown field 'extra'",
+    'inline.mode:float': "weights: field 'mode' has wrong type float",
+    'inline.mode:bool': "weights: field 'mode' has wrong type bool",
+    'inline.mode:string': "weights: unknown mode 'x'",
+    'inline.mode:null': "weights: field 'mode' has wrong type NoneType",
+    'inline.mode:nested': "weights: field 'mode' has wrong type list",
+    'inline.mode:missing': "weights: missing field 'mode'",
+    'inline.mode:repeated': "key 'mode' appears twice in one object",
+    'inline.arrays:float': "weights: field 'arrays' has wrong type float",
+    'inline.arrays:bool': "weights: field 'arrays' has wrong type bool",
+    'inline.arrays:string': "weights: field 'arrays' has wrong type str",
+    'inline.arrays:null': "weights: field 'arrays' has wrong type NoneType",
+    'inline.arrays:nested': "weights: field 'arrays' has wrong type list",
+    'inline.arrays:missing': "weights: missing field 'arrays'",
+    'inline.arrays:repeated': "key 'arrays' appears twice in one object",
+    'inline.extra': "weights (inline): unknown field 'extra'",
+    'arrays.0:float': 'weights: layer 0 must be a flat list of numbers',
+    'arrays.0:bool': 'weights: layer 0 must be a flat list of numbers',
+    'arrays.0:string': 'weights: layer 0 must be a flat list of numbers',
+    'arrays.0:null': 'weights: layer 0 must be a flat list of numbers',
+    'arrays.0:nested': 'weights: layer 0 must be a flat list of numbers',
+    'arrays.0:missing': None,
+    'arrays.0:repeated': "key '0' appears twice in one object",
+    'arrays.2:float': 'weights: layer 2 must be a flat list of numbers',
+    'arrays.2:bool': 'weights: layer 2 must be a flat list of numbers',
+    'arrays.2:string': 'weights: layer 2 must be a flat list of numbers',
+    'arrays.2:null': 'weights: layer 2 must be a flat list of numbers',
+    'arrays.2:nested': 'weights: layer 2 must be a flat list of numbers',
+    'arrays.2:missing': None,
+    'arrays.2:repeated': "key '2' appears twice in one object",
+    'arrays.extra': "weights: bad layer index 'extra'",
+    'sidecar.mode:float': "weights: field 'mode' has wrong type float",
+    'sidecar.mode:bool': "weights: field 'mode' has wrong type bool",
+    'sidecar.mode:string': "weights: unknown mode 'x'",
+    'sidecar.mode:null': "weights: field 'mode' has wrong type NoneType",
+    'sidecar.mode:nested': "weights: field 'mode' has wrong type list",
+    'sidecar.mode:missing': "weights: missing field 'mode'",
+    'sidecar.mode:repeated': "key 'mode' appears twice in one object",
+    'sidecar.path:float': "weights: field 'path' has wrong type float",
+    'sidecar.path:bool': "weights: field 'path' has wrong type bool",
+    'sidecar.path:string': "FileNotFoundError: [Errno 2] No such file or directory: '{tmp}/x'",
+    'sidecar.path:null': "weights: field 'path' has wrong type NoneType",
+    'sidecar.path:nested': "weights: field 'path' has wrong type list",
+    'sidecar.path:missing': "weights: missing field 'path'",
+    'sidecar.path:repeated': "key 'path' appears twice in one object",
+    'sidecar.lengths:float': "weights: field 'lengths' has wrong type float",
+    'sidecar.lengths:bool': "weights: field 'lengths' has wrong type bool",
+    'sidecar.lengths:string': "weights: field 'lengths' has wrong type str",
+    'sidecar.lengths:null': "weights: field 'lengths' has wrong type NoneType",
+    'sidecar.lengths:nested': "weights: field 'lengths' has wrong type list",
+    'sidecar.lengths:missing': "weights: missing field 'lengths'",
+    'sidecar.lengths:repeated': "key 'lengths' appears twice in one object",
+    'sidecar.extra': "weights (sidecar): unknown field 'extra'",
+    'lengths.0:float': 'weights: lengths: expected an integer, got 1.5',
+    'lengths.0:bool': 'weights: lengths: expected an integer, got True',
+    'lengths.0:string': "weights: lengths: expected an integer, got 'x'",
+    'lengths.0:null': 'weights: lengths: expected an integer, got None',
+    'lengths.0:nested': 'weights: lengths: expected an integer, got [[1]]',
+    'lengths.0:missing': 'weights: sidecar holds 1056 bytes, lengths declare 108 values (864 bytes)',
+    'lengths.0:repeated': "key '0' appears twice in one object",
+    'lengths.2:float': 'weights: lengths: expected an integer, got 1.5',
+    'lengths.2:bool': 'weights: lengths: expected an integer, got True',
+    'lengths.2:string': "weights: lengths: expected an integer, got 'x'",
+    'lengths.2:null': 'weights: lengths: expected an integer, got None',
+    'lengths.2:nested': 'weights: lengths: expected an integer, got [[1]]',
+    'lengths.2:missing': 'weights: sidecar holds 1056 bytes, lengths declare 24 values (192 bytes)',
+    'lengths.2:repeated': "key '2' appears twice in one object",
+    'lengths.extra': "weights: bad layer index 'extra'",
+    'transform.source:float': "transform: field 'source' has wrong type float",
+    'transform.source:bool': "transform: field 'source' has wrong type bool",
+    'transform.source:string': None,
+    'transform.source:null': "transform: field 'source' has wrong type NoneType",
+    'transform.source:nested': "transform: field 'source' has wrong type list",
+    'transform.source:missing': "transform: missing field 'source'",
+    'transform.source:repeated': "key 'source' appears twice in one object",
+    'transform.input_map:float': "transform: field 'input_map' has wrong type float",
+    'transform.input_map:bool': "transform: field 'input_map' has wrong type bool",
+    'transform.input_map:string': "transform: field 'input_map' has wrong type str",
+    'transform.input_map:null': "transform: field 'input_map' has wrong type NoneType",
+    'transform.input_map:nested': "transform: field 'input_map' has wrong type list",
+    'transform.input_map:missing': "transform: missing field 'input_map'",
+    'transform.input_map:repeated': "key 'input_map' appears twice in one object",
+    'transform.extra': "transform: unknown field 'extra'",
+    'input_map.stride:float': "transform.input_map: field 'stride': expected an integer, got 1.5",
+    'input_map.stride:bool': "transform.input_map: field 'stride': expected an integer, got True",
+    'input_map.stride:string': "transform.input_map: field 'stride': expected an integer, got 'x'",
+    'input_map.stride:null': "transform.input_map: field 'stride': expected an integer, got None",
+    'input_map.stride:nested': "transform.input_map: field 'stride': expected an integer, got [[1]]",
+    'input_map.stride:missing': "transform.input_map: missing field 'stride'",
+    'input_map.stride:repeated': "key 'stride' appears twice in one object",
+    'input_map.entries:float': "transform.input_map: field 'entries' has wrong type float",
+    'input_map.entries:bool': "transform.input_map: field 'entries' has wrong type bool",
+    'input_map.entries:string': "transform.input_map: field 'entries' has wrong type str",
+    'input_map.entries:null': "transform.input_map: field 'entries' has wrong type NoneType",
+    'input_map.entries:nested': 'transform: entries must cover every (channel, p, q) exactly once',
+    'input_map.entries:missing': "transform.input_map: missing field 'entries'",
+    'input_map.entries:repeated': "key 'entries' appears twice in one object",
+    'input_map.extra': "transform.input_map: unknown field 'extra'",
+}
+
+
+def test_every_field_of_every_object_is_refused_with_its_message(tmp_path):
+    # a float, a bool, a string, null, a nested list, a missing key and a
+    # repeated key in each field, and one key more in each object
+    assert _rejections(tmp_path) == REJECTIONS
+
+
+def test_sidecar_crc32_is_an_optional_integer_that_must_match(tmp_path):
+    # the table above spoils the keys every document had before the writer
+    # recorded a checksum; this is the one it added
+    p = tmp_path / "a.json"
+    save_document(p, _transformed(_small_net(seed=1)), weights_mode="sidecar")
+    text = p.read_text()
+    crc = json.loads(text)["weights"]["crc32"]
+    assert crc == zlib.crc32((tmp_path / "a.weights.bin").read_bytes())
+    field = f'"crc32": {crc}'
+    cases = [
+        (json.dumps(1.5), "weights: field 'crc32': expected an integer, got 1.5"),
+        (json.dumps(True), "weights: field 'crc32': expected an integer, got True"),
+        (json.dumps("x"), "weights: field 'crc32': expected an integer, got 'x'"),
+        (json.dumps(None), "weights: field 'crc32': expected an integer, got None"),
+        (json.dumps([[1]]), "weights: field 'crc32': expected an integer, got [[1]]"),
+        (f"{crc}, {field}", "key 'crc32' appears twice in one object"),
+        (str(crc ^ 1), f"weights: sidecar checksum mismatch: its bytes have crc32 {crc}, "
+                       f"the document records {crc ^ 1}"),
+    ]
+    for value, message in cases:
+        p.write_text(text.replace(field, f'"crc32": {value}'))
+        with pytest.raises(SpecFormatError) as e:
+            load_document(p)
+        assert str(e.value) == message
+    # left out, as benchmarks/reference.py leaves it: loaded unchecked
+    p.write_text(text.replace(f',\n  {field}', ""))
+    assert "crc32" not in p.read_text()
+    assert load_document(p).weights_mode == "sidecar"
+
+
+@pytest.mark.parametrize("mode", ["inline", "sidecar"])
+def test_loaded_weights_are_writable_aligned_and_bit_identical(tmp_path, mode):
+    spec = _small_net(seed=2)
+    save_document(tmp_path / "a.json", SpecDocument(network=spec), weights_mode=mode)
+    loaded = load_document(tmp_path / "a.json").network
+    for want, got in zip(spec.layers, loaded.layers):
+        if getattr(want, "weights", None) is None:
+            continue
+        assert got.weights.flags.writeable and got.weights.flags.aligned
+        assert got.weights.dtype == np.float64
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
 def test_decimal_beyond_float64_is_rejected_but_spelled_constants_load(tmp_path):
     # json.loads turns 1e400 into an infinity; only the spelled Infinity and
     # -Infinity may load as one, and 1e-400 rounds to 0.0 as it should
@@ -552,13 +889,20 @@ def test_names_must_be_strings():
 
 
 def test_corrupted_sidecar_changes_loaded_values(tmp_path):
-    # same lengths, different bytes: loads fine, values differ (verify's job)
+    # same lengths, different bytes: refused by the checksum the writer
+    # records; a document without one, as benchmarks/reference.py writes,
+    # loads them, and the values differ (verify's job)
     spec = _small_net(seed=10)
     p = tmp_path / "a.json"
     save_document(p, SpecDocument(network=spec), weights_mode="sidecar")
     blob = np.fromfile(tmp_path / "a.weights.bin", dtype="<f8")
     blob[0] += 1.0
     blob.tofile(tmp_path / "a.weights.bin")
+    with pytest.raises(SpecFormatError, match="^weights: sidecar checksum mismatch: "):
+        load_document(p)
+    raw = json.loads(p.read_text())
+    del raw["weights"]["crc32"]
+    p.write_text(json.dumps(raw))
     doc = load_document(p)
     assert not _networks_equal(spec, doc.network)
     assert doc.network.layers[0].weights.ravel()[0] == spec.layers[0].weights.ravel()[0] + 1.0
@@ -765,6 +1109,23 @@ def test_save_peak_memory_of_transformed_lenet(tmp_path, lenet_doc, mode, writte
     assert peak <= bound * size, (peak, size)
 
 
+def _old_and_flipped(tmp_path, mode):
+    """Directories old and new, each holding a.json saved in mode: old from
+    _small_net(seed=1), new from the same net with every weight array
+    reversed, so that the new files are as long as the old ones."""
+    spec = _small_net(seed=1)
+    flipped = replace(spec, layers=tuple(
+        replace(layer, weights=np.flip(layer.weights).copy())
+        if getattr(layer, "weights", None) is not None else layer
+        for layer in spec.layers
+    ))
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, net in ((old, spec), (new, flipped)):
+        d.mkdir()
+        save_document(d / "a.json", SpecDocument(network=net), weights_mode=mode)
+    return old, new
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
 @pytest.mark.parametrize("mode, stopped", [
     ("sidecar", "a.weights.bin"),
@@ -776,16 +1137,7 @@ def test_a_write_that_stops_part_way_leaves_no_document_to_load(tmp_path, mode, 
     # half way.  The writer does not truncate on opening, so unless it cuts
     # the file after the failure, the new head over the old tail would keep
     # its length and the old document would load it.
-    spec = _small_net(seed=1)
-    flipped = replace(spec, layers=tuple(
-        replace(layer, weights=np.flip(layer.weights).copy())
-        if getattr(layer, "weights", None) is not None else layer
-        for layer in spec.layers
-    ))
-    old, new = tmp_path / "old", tmp_path / "new"
-    for d, net in ((old, spec), (new, flipped)):
-        d.mkdir()
-        save_document(d / "a.json", SpecDocument(network=net), weights_mode=mode)
+    old, new = _old_and_flipped(tmp_path, mode)
     assert (old / stopped).stat().st_size == (new / stopped).stat().st_size
     limit = (old / stopped).stat().st_size // 2
     child = f"""
@@ -806,4 +1158,45 @@ save_document(sys.argv[2], doc, weights_mode="{mode}")
     assert "File too large" in done.stderr, done.stderr
     assert (old / stopped).stat().st_size == 0
     with pytest.raises(SpecFormatError):
+        load_document(old / "a.json")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
+def test_a_sidecar_write_killed_part_way_is_refused_on_load(tmp_path):
+    # The kernel kills the writer half way through the sidecar, as SIGKILL
+    # or the OOM killer would: SIGXFSZ at its default action (Python starts
+    # with it ignored), so no handler runs and nothing cuts the file.  The
+    # old document is left beside new head over old tail, of the length it
+    # records, and must not load it.
+    old, new = _old_and_flipped(tmp_path, "sidecar")
+    sidecar = old / "a.weights.bin"
+    before = sidecar.read_bytes()
+    child = f"""
+import resource, signal, sys
+from destride import load_document, save_document
+doc = load_document(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before) // 2}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+save_document(sys.argv[2], doc, weights_mode="sidecar")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(new / "a.json"), str(old / "a.json")],
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == -signal.SIGXFSZ, done.stderr
+    after = sidecar.read_bytes()
+    assert len(after) == len(before) and after != before
+    assert after[len(before) // 2:] == before[len(before) // 2:]
+    with pytest.raises(SpecFormatError, match="checksum"):
+        load_document(old / "a.json")
+
+
+def test_a_new_sidecar_beside_the_old_document_is_refused_on_load(tmp_path):
+    # what a writer killed between the sidecar and the document leaves: the
+    # new weights, of the length the old document records
+    old, new = _old_and_flipped(tmp_path, "sidecar")
+    (old / "a.weights.bin").write_bytes((new / "a.weights.bin").read_bytes())
+    with pytest.raises(SpecFormatError, match="checksum"):
         load_document(old / "a.json")
