@@ -5,6 +5,13 @@ kernel flip and no implicit padding.  Filters for the multi-channel case are
 4-D arrays indexed (out_channel, in_channel, row, col); feature maps are 3-D
 arrays indexed (channel, row, col), or 4-D with a leading batch axis.
 
+conv_multichannel is an im2col product.  Its plan (Im2col) holds a gather
+index: the flat position in one feature map of every value of that map's
+column matrix, built once from the shapes.  Applying it is one take and
+one matrix product (per slice of a batch too large for one), and a 1x1
+stride-1 conv skips the take, multiplying its input where it lies.  network.forward keeps the plans of a
+network's convs; a direct call to conv_multichannel builds its plan anew.
+
 build_conv_tensor re-expresses a single filter as the 4-D tensor whose
 tensor_product with the image equals the correlation.  Because the product
 pairs tensor dimension 3 with image columns and dimension 4 with image rows,
@@ -14,7 +21,7 @@ extract_filter are written against that layout.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,44 +57,62 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     Computed as im2col (Chellapilla et al. 2006): the weights reshaped to
     (out, in*a*b) times a column matrix (in*a*b, oh*ow), whose column for
     each kept output position holds the in*a*b input values under the kernel
-    there, read from a strided window view and copied out of it only when
-    the view is not already one (so a 1x1 stride-1 conv multiplies its input
-    in place).  A copied column matrix holds a*b*oh*ow / (h*w) times the
-    values of its feature map, so a batch of N goes through in slices of
-    max(1, N*h*w // (a*b*oh*ow)) items, each no larger than the input unless
-    one item's is.  One feature map, or a batch that fits one slice, is one
-    product.
+    there.  The column matrix is one take of each flattened item by a gather
+    index (see Im2col), except for a 1x1 stride-1 conv, whose input already
+    is its column matrix and is multiplied where it lies.  A gathered
+    column matrix holds a*b*oh*ow / (h*w) times the values of its feature
+    map, so a batch whose column matrix is larger than its input goes
+    through in slices of max(1, N*h*w // (a*b*oh*ow) - 1) items, which
+    leaves room in the input's size for the index.  One feature map, or any
+    other batch, is one product.
 
     A call is the two steps that forward keeps apart: Im2col.of checks the
-    shapes and works out the window, column and output shapes, which forward
-    plans once per network, and Im2col.apply reads the weights and
-    multiplies, which forward does at every call.
+    shapes and builds the gather index, which forward plans once per
+    network, and Im2col.apply reads the weights, gathers and multiplies,
+    which forward does at every call.  So a one-shot call builds its index
+    every time, a few microseconds for a small conv.
     """
     w = np.asarray(weights, dtype=np.float64)
-    # the window view is laid over x's buffer, which must be C-ordered
+    # C-ordered, so that flattening each item is a view
     x = np.asarray(feature_map, dtype=np.float64, order="C")
-    geometry = Im2col.of(w.shape, x.shape, stride)
+    plan = Im2col.of(w.shape, x.shape, stride)
     batch = x.shape[:-3]
-    return geometry.apply(w, x, batch).reshape(*batch, *geometry.out)
+    return plan.apply(w, x, batch).reshape(*batch, *plan.out)
 
 
-class Im2col(NamedTuple):
-    """The geometry of one strided correlation's im2col product, for any
-    batch of one (channels, h, w) feature map shape and one weight shape.
-    It holds shapes only, no weight values."""
+@dataclass(frozen=True, eq=False, slots=True)
+class Im2col:
+    """The plan of one strided correlation's im2col product, for any batch
+    of one (channels, h, w) feature map shape and one weight shape: its
+    shapes and its gather index, no weight values.  The index costs 8 bytes
+    per value of one item's column matrix, whatever the batch: 61,120
+    entries (0.49 MB) for the four convs of the paper's LeNet and 13,824
+    (0.11 MB) for its rewrite.  A 1x1 stride-1 conv has none, since its
+    input already is its column matrix."""
 
-    windows: tuple      # (c, a, b, oh, ow), the window view of one item
-    strides: tuple      # its byte strides over a C-ordered float64 item
-    item_bytes: int     # c * h * w * 8, the byte stride between batch items
+    # the index.  Kept writeable and private, because ndarray.take copies an
+    # index that is not writeable, on every call
+    _gather: np.ndarray | None
     rows: int           # c * a * b, the column matrix's rows
     cols: int           # oh * ow, its columns
     out: tuple          # (out_channels, oh, ow)
-    area: int           # h * w, an input channel's values
-    column_area: int    # a * b * oh * ow, one channel's column matrix values
+    size: int           # c * h * w, one item's values
+
+    @property
+    def index(self) -> np.ndarray | None:
+        """The gather index, read-only: an intp array of one item's column
+        matrix shape (c*a*b, oh*ow), whose entry (r, j) is the flat position
+        in a C-ordered (c, h, w) item of the value in row r of column j.
+        None for a 1x1 stride-1 conv."""
+        if self._gather is None:
+            return None
+        view = self._gather.view()
+        view.flags.writeable = False
+        return view
 
     @classmethod
     def of(cls, weight_shape, map_shape, stride: int) -> "Im2col":
-        """The geometry of weights of weight_shape over feature maps of
+        """The plan for weights of weight_shape over feature maps of
         map_shape, (channels, h, w) or (N, channels, h, w), at stride; a
         ValueError when they do not fit."""
         if len(weight_shape) != 4:
@@ -108,12 +133,20 @@ class Im2col(NamedTuple):
         if a > h or b > wd:
             raise ValueError(f"filter {tuple(weight_shape[2:])} larger than image {(h, wd)}")
         oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
-        # numpy checks that the window view stays inside its buffer, which
-        # holds as (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd
-        sw = np.dtype(np.float64).itemsize
-        sh = wd * sw
-        return cls((c, a, b, oh, ow), (h * sh, sh, sw, sh * stride, sw * stride), c * h * sh,
-                   c * a * b, oh * ow, (out_c, oh, ow), h * wd, a * b * oh * ow)
+        rows, cols = c * a * b, oh * ow
+        if a == b == stride == 1:
+            # each item already is its column matrix
+            return cls(None, rows, cols, (out_c, oh, ow), c * h * wd)
+        # the (c, a, b, oh, ow) window view of one item's flat positions,
+        # copied once.  numpy checks that the view stays inside its buffer,
+        # which holds as (oh - 1) * stride + a <= h and (ow - 1) * stride + b <= wd
+        positions = np.arange(c * h * wd)
+        si = positions.itemsize
+        sh = wd * si
+        gather = np.ascontiguousarray(np.ndarray(
+            (c, a, b, oh, ow), np.intp, positions, 0, (h * sh, sh, si, sh * stride, si * stride)
+        )).reshape(rows, cols)
+        return cls(gather, rows, cols, (out_c, oh, ow), c * h * wd)
 
     def apply(self, weights, x, batch: tuple) -> np.ndarray:
         """The correlation of weights, of the planned shape, with x, a
@@ -121,36 +154,28 @@ class Im2col(NamedTuple):
         shape, batch () for one or (N,) for N of them.  Returns (*batch,
         out_channels, oh * ow).
 
-        A batch goes through in slices of max(1, N*h*w // (a*b*oh*ow))
-        items, which is all of them for one or no item, or when one item's
-        column matrix is no larger than its input."""
-        # ([N,] c, a, b, oh, ow), a read-only view of x's buffer.  Its
-        # arguments go by position, since naming them costs ndarray a
-        # microsecond a call
-        if batch:
-            windows = np.ndarray(
-                (*batch, *self.windows), np.float64, x, 0, (self.item_bytes, *self.strides)
-            )
-        else:
-            windows = np.ndarray(self.windows, np.float64, x, 0, self.strides)
-        windows.setflags(write=False)
+        A batch whose column matrix is larger than its input goes through
+        in slices of max(1, N*c*h*w // (rows*cols) - 1) items, so that the
+        index and one slice's column matrix together hold no more values
+        than the input; any other batch is one product."""
         out_c = self.out[0]
         kernel = np.asarray(weights, dtype=np.float64).reshape(out_c, self.rows)
-        # a copy unless the view already is a C-ordered column matrix (a bare
-        # reshape could give an overlapping view that BLAS cannot take)
-        if not batch or batch[0] < 2 or self.column_area <= self.area:
-            return kernel @ np.ascontiguousarray(windows).reshape(*batch, self.rows, self.cols)
+        index = self._gather
+        if not batch:
+            # dot makes the BLAS call that @ makes on two matrices, so the
+            # same bits, with half a microsecond less set-up
+            return kernel.dot(x.reshape(self.rows, self.cols) if index is None else x.take(index))
+        if index is None:
+            return kernel @ x.reshape(*batch, self.rows, self.cols)
         n = batch[0]
-        step = max(1, n * self.area // self.column_area)
+        items = x.reshape(n, self.size)
+        if n < 2 or index.size <= self.size:
+            return kernel @ items.take(index, axis=-1)
+        step = max(1, n * self.size // index.size - 1)
         out = np.empty((n, out_c, self.cols))
         for i in range(0, n, step):
-            m = min(step, n - i)
-            # a temporary, so one slice's copy is freed before the next is made
-            np.matmul(
-                kernel,
-                np.ascontiguousarray(windows[i : i + m]).reshape(m, self.rows, self.cols),
-                out=out[i : i + m],
-            )
+            # a temporary, so one slice's column matrix is freed before the next is made
+            np.matmul(kernel, items[i : i + step].take(index, axis=-1), out=out[i : i + step])
         return out
 
 

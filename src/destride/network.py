@@ -152,7 +152,7 @@ def infer_shapes(spec: NetworkSpec) -> list:
 def _forward_plan(spec: NetworkSpec) -> tuple:
     """How forward evaluates spec, worked out from its declared shapes by
     the walk infer_shapes takes: (steps, outputs).  steps holds (layer
-    index, kind, argument) per layer: the Im2col geometry of a conv, the
+    index, kind, argument) per layer: the Im2col plan of a conv, the
     name of an activation, the feature count a dense layer reads.  outputs
     is the length of one input's flat output.  Holds no weight values and
     no functions, so that a spec that carries it still pickles.  A layer
@@ -178,13 +178,14 @@ def forward(spec: NetworkSpec, x) -> np.ndarray:
     output, or on a batch (N, c, h, w), returning (N, outputs).
 
     The first call on a spec plans its evaluation: each conv's im2col
-    geometry, each dense layer's feature count, each activation's name,
+    gather index (one item's column matrix of intp entries, none for a 1x1
+    stride-1 conv), each dense layer's feature count, each activation's name,
     from the declared shapes through the walk infer_shapes takes, so it
     refuses what infer_shapes refuses.  The plan is cached privately on the
     spec, which is frozen, so later calls check only the input's rank and
     shape.  Weights are read at every call: changing them in place changes
     the next output."""
-    # C-ordered once here, so every conv's window view can lie over its input
+    # C-ordered once here, so every conv flattens its input's items as a view
     x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim not in (3, 4):
         raise ValueError(

@@ -209,6 +209,8 @@ def _layer_from_json(i, obj):
 
 def _checked_layer(i, obj):
     where = f"layer {i}"
+    if type(obj) is not dict:
+        raise SpecFormatError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = _require(obj, "kind", str, where)
     if kind not in _KEYS["layer"]:
         raise SpecFormatError(f"{where}: unknown kind {kind!r}")
@@ -238,9 +240,16 @@ def _network_from_json(obj) -> NetworkSpec:
         )
         shape = _require(obj, "input_shape", list, "network")
         layers_json = _require(obj, "layers", list, "network")
+    layers = []
+    for i, layer in enumerate(layers_json):
+        try:
+            layers.append(_layer_from_json(i, layer))
+        except SpecFormatError:
+            raise
+        except (ValueError, TypeError) as e:
+            raise SpecFormatError(f"layer {i}: {e}") from None
     try:
-        layers = tuple(_layer_from_json(i, l) for i, l in enumerate(layers_json))
-        return NetworkSpec(name, _ints(shape, "network: input_shape"), layers, provenance)
+        return NetworkSpec(name, _ints(shape, "network: input_shape"), tuple(layers), provenance)
     except SpecFormatError:
         raise
     except (ValueError, TypeError) as e:

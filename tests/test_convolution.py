@@ -17,6 +17,7 @@ from destride import (
     tensor_product,
     zero_pad,
 )
+from destride.convolution import Im2col
 
 from oracles import einsum_conv, multichannel_forward, slide_correlate, slide_correlate_strided
 
@@ -292,8 +293,9 @@ def test_conv_multichannel_column_matrix_stays_within_input():
 
 
 def test_conv_multichannel_takes_any_layout_and_dtype():
-    # the window view needs a C-ordered buffer; every other input is copied
-    # into one first, and gives the same bits as a C-ordered float64 copy
+    # the gather reads flattened items of a C-ordered buffer; every other
+    # input is copied into one first, and gives the same bits as a C-ordered
+    # float64 copy
     r = np.random.default_rng(23)
     w = r.standard_normal((3, 2, 3, 2))
     x = r.standard_normal((4, 2, 9, 8))
@@ -361,6 +363,34 @@ def test_conv_multichannel_1x1_stride_1_copies_nothing():
     assert np.array_equal(y, plain)
     want = np.stack([einsum_conv(w, item, 1) for item in x])
     assert np.abs(y - want).max() <= REL_TOL * np.abs(want).max()
+
+
+def test_im2col_index_holds_each_window_position():
+    # the gather index is the strided window view laid over one item's flat
+    # positions, in (c, a, b, oh, ow) order: read-only, and None exactly where
+    # the item already is its column matrix
+    r = np.random.default_rng(26)
+    for _ in range(200):
+        c = int(r.integers(1, 5))
+        a, b = (int(v) for v in r.integers(1, 6, 2))
+        s = int(r.integers(1, 5))
+        h, w = int(r.integers(a, a + 9)), int(r.integers(b, b + 9))
+        batch = () if r.integers(2) else (int(r.integers(1, 4)),)
+        g = Im2col.of((int(r.integers(1, 4)), c, a, b), (*batch, c, h, w), s)
+        positions = np.arange(c * h * w).reshape(c, h, w)
+        windows = sliding_window_view(positions, (a, b), axis=(1, 2))[:, ::s, ::s]
+        oh, ow = windows.shape[1:3]
+        assert (g.rows, g.cols, g.size) == (c * a * b, oh * ow, c * h * w)
+        if a == b == s == 1:
+            assert g.index is None
+            continue
+        want = windows.transpose(0, 3, 4, 1, 2).reshape(c * a * b, oh * ow)
+        assert g.index.dtype == np.intp and g.index.shape == want.shape
+        assert np.array_equal(g.index, want), (c, h, w, a, b, s)
+        assert not g.index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.index[0, 0] = 1
+        assert np.array_equal(Im2col.of((1, c, a, b), (c, h, w), s).index, want)
 
 
 def test_conv_multichannel_rejects_other_ranks():

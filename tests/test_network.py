@@ -288,6 +288,23 @@ def test_forward_equals_the_layerwise_loop():
                     assert np.array_equal(forward(other, xin), layerwise_forward(other, xin))
 
 
+def test_forward_plan_holds_one_index_per_conv():
+    # each conv's plan holds one item's gather index, as many entries as one
+    # item's column matrix; a 1x1 stride-1 conv holds none
+    spec = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    result = transform_network(spec)
+    x = np.random.default_rng(46).standard_normal(spec.input_shape)
+    counts = []
+    for net, xin in ((spec, x), (result.network, reshape_input(x, result.input_map))):
+        forward(net, xin)
+        steps, _ = vars(net)["_forward_plan"]
+        convs = [plan for _, kind, plan in steps if kind == "conv"]
+        assert len(convs) == sum(isinstance(l, ConvLayer) for l in net.layers)
+        counts.append([0 if p.index is None else p.index.size for p in convs])
+    assert counts == [[14_400, 11_520, 32_000, 3_200], [2_304, 0, 11_520, 0]]
+    assert [sum(c) for c in counts] == [61_120, 13_824]
+
+
 def test_forward_plan_reads_weights_at_every_call_and_stays_private():
     spec = init_params(
         NetworkSpec("p", (2, 9, 8), (ConvLayer(3, (3, 2), 2), ActivationLayer("relu"),

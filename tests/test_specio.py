@@ -437,6 +437,33 @@ def test_malformed_transformed_values_keep_their_messages(tmp_path, edit, messag
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_field(0, "channels_out", 0), "layer 0: conv layer needs positive channels and kernel, got "),
+    (_field(0, "kernel", [2, 0]), "layer 0: conv layer needs positive channels and kernel, got "),
+    (_field(0, "stride", 0), "layer 0: stride must be at least 1, got 0"),
+    (_field(1, "function", "tanh"), "layer 1: unknown activation 'tanh', known: "),
+    (_field(2, "units", -1), "layer 2: fully connected layer needs positive units, got -1"),
+    (lambda raw: raw["network"]["layers"].__setitem__(1, None),
+     "layer 1: expected an object, got NoneType"),
+    (lambda raw: raw["network"]["layers"].__setitem__(2, "fully_connected"),
+     "layer 2: expected an object, got str"),
+], ids=["channels_out-0", "kernel-0", "stride-0", "function-unknown", "units-negative",
+        "layer-null", "layer-string"])
+def test_a_refused_layer_is_named_by_its_index(tmp_path, edit, message):
+    # well-typed values that a layer constructor refuses, and layers that are
+    # not objects, name the layer rather than the network
+    spec = _small_net()
+    result = transform_network(spec)
+    p = tmp_path / "t.json"
+    save_document(p, SpecDocument(result.network, TransformMetadata(spec.name, result.input_map)))
+    raw = json.loads(p.read_text())
+    edit(raw)
+    p.write_text(json.dumps(raw))
+    with pytest.raises(SpecFormatError) as e:
+        load_document(p)
+    assert str(e.value).startswith(message)
+
+
 # every object kind of a document, as (base document, path to the object,
 # its fields); the bases are _small_net's transformed document with inline
 # and with sidecar weights
@@ -561,7 +588,7 @@ REJECTIONS = {
     'network.layers:bool': "network: field 'layers' has wrong type bool",
     'network.layers:string': "network: field 'layers' has wrong type str",
     'network.layers:null': "network: field 'layers' has wrong type NoneType",
-    'network.layers:nested': "layer 0: missing field 'kind'",
+    'network.layers:nested': "layer 0: expected an object, got list",
     'network.layers:missing': "network: missing field 'layers'",
     'network.layers:repeated': "key 'layers' appears twice in one object",
     'network.extra': "network: unknown field 'extra'",
@@ -603,7 +630,7 @@ REJECTIONS = {
     'activation.kind:repeated': "key 'kind' appears twice in one object",
     'activation.function:float': "layer 1: field 'function' has wrong type float",
     'activation.function:bool': "layer 1: field 'function' has wrong type bool",
-    'activation.function:string': "network: unknown activation 'x', known: ['identity', 'relu']",
+    'activation.function:string': "layer 1: unknown activation 'x', known: ['identity', 'relu']",
     'activation.function:null': "layer 1: field 'function' has wrong type NoneType",
     'activation.function:nested': "layer 1: field 'function' has wrong type list",
     'activation.function:missing': "layer 1: missing field 'function'",
