@@ -25,7 +25,6 @@ from .network import (
     ActivationLayer,
     ConvLayer,
     NetworkSpec,
-    infer_shapes,
     parameter_report,
     verify_equivalence,
 )
@@ -107,10 +106,11 @@ def _describe_layer(layer) -> str:
     return f"fully-connected {layer.units}"
 
 
-def format_architecture(spec: NetworkSpec) -> str:
-    """Layer-by-layer table of a network and its per-layer output shapes."""
+def format_architecture(spec: NetworkSpec, shapes) -> str:
+    """Layer-by-layer table of a network beside shapes, its per-layer output
+    shapes as infer_shapes gives them."""
     lines = [f"{spec.name}: input {_shape_text(spec.input_shape)}"]
-    for i, (layer, shape) in enumerate(zip(spec.layers, infer_shapes(spec))):
+    for i, (layer, shape) in enumerate(zip(spec.layers, shapes)):
         lines.append(f"  {i:>2}  {_describe_layer(layer):<30} -> {_shape_text(shape)}")
     return "\n".join(lines)
 
@@ -121,9 +121,10 @@ def cmd_transform(args) -> int:
     if all(l.stride == 1 for l in spec.layers if isinstance(l, ConvLayer)):
         print("warning: all strides are 1; nothing to eliminate", file=sys.stderr)
     result = transform_network(spec)
-    print(format_architecture(spec))
+    # both tables from the rewrite's one walk of the original's shapes
+    print(format_architecture(spec, result.shapes))
     print()
-    print(format_architecture(result.network))
+    print(format_architecture(result.network, result.transformed_shapes))
     out = SpecDocument(
         network=result.network,
         transform=TransformMetadata(source=spec.name, input_map=result.input_map),

@@ -46,7 +46,11 @@ string per object kind (document, each layer kind, sidecar weights,
 transform), passes every string through json's C encode_basestring_ascii,
 writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
-bytes in one call.  Both files are replaced in place (_write_over): an
+bytes in one call.  It spells each path once as pathlib does ("a//./b" as
+"a/b", "out/" as "out"), the spelling its messages give, and works on the
+strings through os.path from there; the default sidecar is the name
+Path.with_suffix(".weights.bin") gives (_with_suffix), so "x." has the
+sidecar "x..weights.bin".  Both files are replaced in place (_write_over): an
 existing file is written over from its start, keeping its inode, and then,
 if it was longer, cut to the new length; a target that is not a regular
 file, such as /dev/null or a FIFO, is written but not cut.  The sidecar is
@@ -509,7 +513,9 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
     document's directory, which is where the reader looks it up."""
     if weights_mode not in (None, "inline", "sidecar"):
         raise ValueError(f"unknown weights mode {weights_mode!r}")
-    path = Path(path)
+    # each path as pathlib spells it ("a//./b" as "a/b", "out/" as "out"),
+    # worked out once: the files are opened, and messages name them, so spelt
+    path = str(Path(path))
     network = doc.network
     # The skeleton is the formats above, filled in: the schema is closed
     # (_KEYS), so no general-purpose encoder walks the document.  Each inline
@@ -533,12 +539,13 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
                 parts += [',' if n else '', f'\n   "{i}": ', *_inline_array(w)]
             parts.append("\n  }\n }")
         else:
-            sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
+            sidecar = str(Path(sidecar_path)) if sidecar_path else _with_suffix(path, ".weights.bin")
             blob = np.concatenate([w.ravel() for w in carrying.values()], dtype="<f8")
             _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
             parts.append(_SIDECAR % (
-                _string(os.path.relpath(sidecar, path.parent)), _items(lengths, 2, "{}"),
+                _string(os.path.relpath(sidecar, os.path.dirname(path) or os.curdir)),
+                _items(lengths, 2, "{}"),
                 zlib.crc32(blob),
             ))
     if doc.transform is not None:
@@ -551,6 +558,17 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
         ))
     parts.append("\n}\n")
     _write_over(path, parts, "w")
+
+
+def _with_suffix(path: str, suffix: str) -> str:
+    """str(Path(path).with_suffix(suffix)) for a path pathlib has spelt: the
+    name's old suffix runs from its last dot, unless that dot starts or ends
+    the name ("x." becomes "x." + suffix, ".json" keeps its dot)."""
+    name = os.path.basename(path)
+    if name in ("", os.curdir):
+        return str(Path(path).with_suffix(suffix))  # pathlib's "empty name" error
+    dot = name.rfind(".")
+    return (path[: len(path) - len(name) + dot] if 0 < dot < len(name) - 1 else path) + suffix
 
 
 def _write_over(path, parts, mode: str) -> None:

@@ -49,8 +49,10 @@ the parameter report audits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +63,7 @@ from .network import ConvLayer, NetworkSpec, _walk
 from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
 from .tensors import _integer, as_matrix
 
+@functools.cache
 def channel_entries(channels: int, stride: int) -> tuple:
     """Enumerate the (source_channel, row_offset, col_offset) triples, all
     1-based, that name the channels of a multiplicity-`stride`
@@ -68,6 +71,8 @@ def channel_entries(channels: int, stride: int) -> tuple:
     grids of one source channel contiguous, which is the channel order of
     pixel unshuffle.  Any other complete enumeration renames channels
     consistently and gives an equivalent network; documents may hold one.
+    Cached: each (channels, stride) gives one tuple, which is how ChannelMap
+    knows the rewrite's own map.
     """
     grids = range(1, stride + 1)
     return tuple(itertools.product(range(1, channels + 1), grids, grids))
@@ -83,28 +88,38 @@ class ChannelMap:
     enumerate every (k, p, q) combination exactly once; a float or a bool is
     refused, not truncated.  Their source-major positions, and whether they
     are in source-major order, are cached privately, not as fields, so ==,
-    hash and repr see only stride and entries.
+    hash and repr see only stride and entries.  The rewrite's own map, whose
+    entries are the very tuple channel_entries returns, is taken without a
+    check; any other entries, equal in value or not, are checked.
     """
 
     stride: int
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        entries = tuple(map(tuple, self.entries))
-        object.__setattr__(self, "entries", entries)
-        # bool is a subclass of int and 1.0 == 1, so the types are checked
-        if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
-            raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
-        if not entries:
-            raise ValueError("channel map needs at least one entry")
-        channels, rest = divmod(len(entries), self.stride**2)
-        types = set(map(type, itertools.chain.from_iterable(entries)))
-        if rest or not all(t is int or issubclass(t, np.integer) for t in types):
-            raise ValueError("entries must cover every (channel, p, q) exactly once")
-        source_major = channel_entries(channels, self.stride)
-        # integer entries equal to the source-major ones are that cover, in
-        # that order, as every map the rewrite writes is: nothing to sort
-        in_order = entries == source_major
+        entries = self.entries
+        # channel_entries built its cached tuple from int triples in
+        # source-major order, so that tuple itself needs no check
+        in_order = bool(
+            type(self.stride) is int and self.stride >= 1 and type(entries) is tuple and entries
+            and entries is channel_entries(len(entries) // self.stride**2, self.stride)
+        )
+        if not in_order:
+            entries = tuple(map(tuple, entries))
+            object.__setattr__(self, "entries", entries)
+            # bool is a subclass of int and 1.0 == 1, so the types are checked
+            if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
+                raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
+            if not entries:
+                raise ValueError("channel map needs at least one entry")
+            channels, rest = divmod(len(entries), self.stride**2)
+            types = set(map(type, itertools.chain.from_iterable(entries)))
+            if rest or not all(t is int or issubclass(t, np.integer) for t in types):
+                raise ValueError("entries must cover every (channel, p, q) exactly once")
+            source_major = channel_entries(channels, self.stride)
+            # integer entries equal to the source-major ones are that cover,
+            # in that order: nothing to sort
+            in_order = entries == source_major
         if in_order:
             position = np.arange(len(entries))
         else:
@@ -131,11 +146,40 @@ class ChannelMap:
         return len(self.entries) // self.stride**2
 
 
+class _SourceMaps(Mapping):
+    """Read-only mapping of conv layer index, ascending, to the source map of
+    the transformed layer (_conv_sources).  It holds each conv's geometry
+    (cin, layer, sigma_in, piece) from the rewrite's walk, builds a layer's
+    map on its first read and keeps it, as a dict would hold it, so a second
+    read returns the same array and a rewrite nobody audits builds none."""
+
+    def __init__(self, geometry: dict):
+        self._geometry = geometry
+        self._built = {}
+
+    def __getitem__(self, i) -> np.ndarray:
+        src = self._built.get(i)
+        if src is None:
+            src = self._built[i] = _conv_sources(*self._geometry[i])
+        return src
+
+    def __iter__(self):
+        return iter(self._geometry)
+
+    def __len__(self) -> int:
+        return len(self._geometry)
+
+
 class TransformResult(NamedTuple):
     network: NetworkSpec
     input_map: ChannelMap
-    # conv layer index -> source map of the transformed layer (_conv_sources)
-    sources: dict
+    # conv layer index -> source map of the transformed layer (_conv_sources),
+    # read-only, each map built on its first read and kept
+    sources: Mapping
+    # each layer's output shape in the original (infer_shapes(spec)) and in
+    # the rewrite (infer_shapes(network)), from the rewrite's one walk
+    shapes: tuple
+    transformed_shapes: tuple
 
 
 def destride_layer(filt, image, stride: int):
@@ -270,9 +314,10 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     """Rewrite a network so every convolution has stride 1.
 
     Returns the transformed network, the channel map describing how raw
-    inputs must be rearranged before evaluation, and the source map of every
+    inputs must be rearranged before evaluation, the source map of every
     transformed conv layer, keyed by original layer index (see
-    parameter_report).  Activations and dense layers are copied as they
+    parameter_report) and built only when read, and each layer's output
+    shape in both networks.  Activations and dense layers are copied as they
     are: the last convolution has output multiplicity 1, so the final
     feature map comes out in the original flatten order.
 
@@ -282,36 +327,46 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     divisible by that layer's cumulative stride and every (dim - kernel)
     divisible by the layer stride; violations raise RaggedSamplingError
     naming the layer.
+
+    The original's shapes are walked once (network._walk).  A feature map
+    of multiplicity sigma and shape (c, h, w) is (c*sigma**2, h/sigma,
+    w/sigma) in the rewrite, so the rewrite's shapes are worked out from
+    that walk rather than walked again.
     """
     plan = list(_walk(spec))
     total = math.prod(l.stride for l in spec.layers if isinstance(l, ConvLayer))
 
     new_layers = list(spec.layers)
-    sources = {}
-    sig_in = total
-    for i, layer in enumerate(spec.layers):
-        if not isinstance(layer, ConvLayer):
-            continue
-        (cin, h, w), (_, h_out, w_out), _ = plan[i]
-        # checked front to back, so the error names the first failing conv
-        if h % sig_in != 0 or w % sig_in != 0:
-            raise RaggedSamplingError(
-                f"layer {i}: input {h}x{w} not divisible by cumulative stride {sig_in}"
+    geometry = {}
+    shapes, transformed_shapes = [], []
+    sig = total  # the multiplicity of the feature map a layer reads
+    for i, (layer, (shape, out, _)) in enumerate(zip(spec.layers, plan)):
+        if isinstance(layer, ConvLayer):
+            cin, h, w = shape
+            # checked front to back, so the error names the first failing conv
+            if h % sig != 0 or w % sig != 0:
+                raise RaggedSamplingError(
+                    f"layer {i}: input {h}x{w} not divisible by cumulative stride {sig}"
+                )
+            sig_out = sig // layer.stride
+            _, h_out, w_out = out
+            piece = (h // sig - h_out // sig_out + 1, w // sig - w_out // sig_out + 1)
+            weights = None
+            if layer.weights is not None:
+                weights = _piece_window(layer.weights, 0.0, layer.stride, sig, piece)
+            new_layers[i] = ConvLayer(
+                channels_out=layer.channels_out * sig_out**2,
+                kernel=piece,
+                stride=1,
+                weights=weights,
             )
-        sig_out = sig_in // layer.stride
-        piece = [d // sig_in - d_out // sig_out + 1 for d, d_out in ((h, h_out), (w, w_out))]
-        src = _conv_sources(cin, layer, sig_in, piece)
-        weights = None
-        if layer.weights is not None:
-            weights = _piece_window(layer.weights, 0.0, layer.stride, sig_in, piece)
-        new_layers[i] = ConvLayer(
-            channels_out=src.shape[0],
-            kernel=src.shape[2:],
-            stride=1,
-            weights=weights,
-        )
-        sources[i] = src
-        sig_in = sig_out
+            geometry[i] = (cin, layer, sig, piece)
+            sig = sig_out
+        shapes.append(out)
+        if isinstance(out, tuple):
+            c, h, w = out
+            out = (c * sig * sig, h // sig, w // sig)
+        transformed_shapes.append(out)
 
     # the first conv reads the network input, so the check above has
     # already made sure the input divides by the total stride
@@ -326,7 +381,8 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     # no walk of the result: each piece is at most h/sigma_in per axis, the
     # channels are c*sigma**2 and _piece_window shapes the weights, so it
     # shape-checks by construction, and forward plans it through the walk
-    return TransformResult(transformed, input_map, sources)
+    return TransformResult(transformed, input_map, _SourceMaps(geometry),
+                           tuple(shapes), tuple(transformed_shapes))
 
 
 def reshape_input(x, input_map: ChannelMap) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -21,14 +22,16 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     SpecDocument,
+    infer_shapes,
     init_params,
     load_document,
+    parameter_report,
     save_document,
     transform_network,
 )
-from destride import cli
+from destride import cli, network, specio, transform
 from destride.cli import main
-from test_transform import _random_net
+from test_transform import _eager_sources, _random_net
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -63,6 +66,55 @@ def test_transform_prints_golden_lenet_table(tmp_path, capsys):
     assert doc.transform is not None
     assert doc.transform.source == "lenet-strided"
     assert "flatten_permutation" not in json.loads((tmp_path / "out.json").read_text())["transform"]
+
+
+def _printed_by_transform(spec, output) -> str:
+    """transform's standard output for spec, with both tables built from
+    infer_shapes: of spec, and of its rewrite."""
+    net = transform_network(spec).network
+    return (f"{cli.format_architecture(spec, infer_shapes(spec))}\n\n"
+            f"{cli.format_architecture(net, infer_shapes(net))}\n\nwrote {output}\n")
+
+
+@pytest.mark.parametrize("mode", ["inline", "sidecar"])
+def test_transform_prints_the_tables_a_walk_of_each_network_gives(tmp_path, capsys, mode):
+    # the rewrite's shapes are worked out from the original's walk; they must
+    # not drift from a walk of the rewrite itself
+    specs = [init_params(load_document(FIXTURES / "lenet.json").network, seed=0)]
+    specs += [init_params(_random_net(seed), seed=seed) for seed in range(40)]
+    for spec in specs:
+        orig, trans = tmp_path / f"{spec.name}.json", tmp_path / f"{spec.name}-t.json"
+        save_document(orig, SpecDocument(network=spec), weights_mode=mode)
+        assert main(["transform", str(orig), str(trans)]) == 0
+        assert capsys.readouterr().out == _printed_by_transform(spec, trans), spec.name
+
+
+def test_transform_walks_the_original_twice_and_builds_no_source_map(tmp_path, capsys,
+                                                                     monkeypatch):
+    # counted, not timed: transform walks the original's shapes once in the
+    # reader and once in the rewrite, and report builds each source map once
+    calls = collections.Counter()
+    for module, name in ((network, "_walk"), (specio, "_walk"), (transform, "_walk"),
+                         (transform, "_conv_sources")):
+        def counted(*args, _original=getattr(module, name), _key=f"{module.__name__}.{name}"):
+            calls[_key] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    lenet = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    for spec, mode in ((lenet, "inline"), (init_params(_random_net(7), seed=7), "sidecar")):
+        orig, trans = tmp_path / f"{spec.name}.json", tmp_path / f"{spec.name}-t.json"
+        save_document(orig, SpecDocument(network=spec), weights_mode=mode)
+        calls.clear()
+        assert main(["transform", str(orig), str(trans)]) == 0
+        assert calls == {"destride.specio._walk": 1, "destride.transform._walk": 1}, spec.name
+        capsys.readouterr()
+        calls.clear()
+        assert main(["report", str(orig), str(trans), "--json"]) == 0
+        built = calls["destride.transform._conv_sources"]
+        eager = _eager_sources(spec)
+        assert built == len(eager), spec.name
+        rows = [r.as_dict() for r in parameter_report(spec, eager)]
+        assert json.loads(capsys.readouterr().out) == rows, spec.name
 
 
 def test_transform_warns_when_nothing_to_eliminate(tmp_path, capsys):
@@ -538,7 +590,7 @@ def test_transform_into_a_read_only_output_exits_4_and_keeps_it(tmp_path, mode, 
     assert kept == b"old bytes, longer than nothing\n"
 
 
-def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys):
+def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys, monkeypatch):
     # an output the writer cannot open, whoever runs it
     out = tmp_path / "out.json"
     out.mkdir()
@@ -547,6 +599,13 @@ def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["kept"]
     assert (out / "kept").read_bytes() == b"kept"
+    # the message names the output as pathlib spells it
+    monkeypatch.chdir(tmp_path)
+    for output, error in (("out.json/", "Is a directory: 'out.json'"),
+                          ("nodir//./x.json", "No such file or directory: 'nodir/x.json'")):
+        assert main(["transform", str(FIXTURES / "lenet.json"), output]) == 4
+        assert error in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 @pytest.mark.parametrize("mode", ["inline", "sidecar"])

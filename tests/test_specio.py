@@ -123,6 +123,16 @@ def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatc
         assert json.loads(Path("docs/a.json").read_text())["weights"]["path"] == recorded
         # weights compared by np.array_equal
         assert _networks_equal(spec, load_document("docs/a.json").network)
+    # by default the sidecar is the name pathlib's with_suffix gives, beside
+    # the document ("x." gains a dot, ".json" keeps its own)
+    for i, name in enumerate(("x", "x.json", "x.tar.json", ".json", "out.json/", "x.")):
+        doc, d = Path(f"beside-{i}", name), Path(f"beside-{i}")
+        d.mkdir()
+        save_document(f"{d}/{name}", SpecDocument(network=spec), weights_mode="sidecar")
+        sidecar = doc.with_suffix(".weights.bin")
+        assert sorted(p.name for p in d.iterdir()) == sorted([doc.name, sidecar.name]), name
+        assert json.loads(doc.read_text())["weights"]["path"] == sidecar.name
+        assert _networks_equal(spec, load_document(doc).network)
 
 
 def test_sidecar_is_little_endian_float64(tmp_path):
@@ -405,6 +415,8 @@ def _field(i, key, value):
      "transform: entries must cover every (channel, p, q) exactly once"),
     (_entry(lambda e: e[0].append(1)),
      "transform: entries must cover every (channel, p, q) exactly once"),
+    (_entry(lambda e: e.__setitem__(1, list(e[0]))),
+     "transform: entries must cover every (channel, p, q) exactly once"),
     (_entry(lambda e: e[2].__setitem__(1, [1])),
      "transform.input_map: entries: expected an integer, got [1]"),
     (_entry(lambda e: e.__setitem__(3, "1, 1, 1")),
@@ -418,7 +430,8 @@ def _field(i, key, value):
     (_field(2, "units", 4.0), "layer 2: field 'units': expected an integer, got 4.0"),
     (_field(2, "units", True), "layer 2: field 'units': expected an integer, got True"),
 ], ids=[
-    "entry-float", "entry-bool", "entry-2-items", "entry-4-items", "entry-nested", "entry-string",
+    "entry-float", "entry-bool", "entry-2-items", "entry-4-items", "entry-repeated",
+    "entry-nested", "entry-string",
     "channels_out-float", "channels_out-bool", "kernel-float", "kernel-bool", "stride-float",
     "stride-bool", "units-float", "units-bool",
 ])

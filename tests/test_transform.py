@@ -31,7 +31,7 @@ from destride import (
     verify_equivalence,
 )
 from destride.selftest import _random_conv_stack
-from destride.transform import _piece_window
+from destride.transform import _conv_sources, _piece_window, channel_entries
 
 from oracles import (
     axis_offsets,
@@ -223,6 +223,31 @@ def test_channel_map_validates_bijection():
     # numpy integers are integers
     assert ChannelMap(1, ((np.int64(1), 1, 1),)).positions.tolist() == [0]
     assert ChannelMap(np.int64(2), _entries(1, 2)).positions.tolist() == [0, 1, 2, 3]
+    # the rewrite's own map, channel_entries' cached tuple itself, is taken
+    # as it is; entries equal to it in value but spelt otherwise are checked
+    # as any others: refused when not integers, normalised when they are
+    own = channel_entries(2, 2)
+    assert channel_entries(2, 2) is own and ChannelMap(2, own).entries is own
+    for entries in (
+        [tuple(map(float, e)) for e in own],
+        [tuple(map(bool, e)) for e in channel_entries(1, 1)],
+        own[:3] + ((1, 2, True),) + own[4:],
+        [(np.float64(k), p, q) for k, p, q in own],
+        own[:-1],  # an incomplete cover
+        own[:-1] + own[:1],  # a repeated entry
+    ):
+        stride = 1 if len(entries) == 1 else 2
+        with pytest.raises(ValueError, match=r"must cover every \(channel, p, q\) exactly once"):
+            ChannelMap(stride, entries)
+    for entries in ([list(e) for e in own], [tuple(map(np.int64, e)) for e in own],
+                    tuple(_entries(2, 2)), iter(own)):
+        m = ChannelMap(2, entries)
+        assert m.entries == own and m.entries is not own and m._source_major
+        assert type(m.entries) is tuple and set(map(type, m.entries)) == {tuple}
+        assert m.positions.tolist() == list(range(8)) and not m.positions.flags.writeable
+    permuted = ChannelMap(2, own[4:] + own[:4])
+    assert not permuted._source_major
+    assert permuted.positions.tolist() == [4, 5, 6, 7, 0, 1, 2, 3]
     # the source-major map's positions are 0, 1, ... and cannot be written
     positions = ChannelMap(2, _entries(3, 2)).positions
     assert positions.tolist() == list(range(12)) and not positions.flags.writeable
@@ -673,6 +698,44 @@ def test_sources_match_oracle_on_random_nets(seed):
                                 trials=3, tol=1e-9, seed=seed)
     assert report.passed, report.max_abs_dev
     _assert_batched_forward_agrees(spec, seed)
+
+
+def _eager_sources(spec):
+    """Each conv's source map, built at once by _conv_sources from geometry
+    worked out here from infer_shapes and the strides."""
+    shapes = [spec.input_shape] + infer_shapes(spec)
+    sigma = math.prod(l.stride for l in spec.layers if isinstance(l, ConvLayer))
+    sources = {}
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, ConvLayer):
+            (cin, h, w), (_, h_out, w_out) = shapes[i], shapes[i + 1]
+            sig_out = sigma // layer.stride
+            piece = (h // sigma - h_out // sig_out + 1, w // sigma - w_out // sig_out + 1)
+            sources[i] = _conv_sources(cin, layer, sigma, piece)
+            sigma = sig_out
+    return sources
+
+
+def test_sources_are_built_on_first_read_and_kept():
+    specs = [load_document(FIXTURES / "lenet.json").network]
+    specs += [_random_net(seed) for seed in range(40)]
+    for spec in specs:
+        result = transform_network(spec)
+        # the shapes of both networks come with the rewrite, as a walk gives them
+        assert result.shapes == tuple(infer_shapes(spec)), spec.name
+        assert result.transformed_shapes == tuple(infer_shapes(result.network)), spec.name
+        sources, want = result.sources, _eager_sources(spec)
+        assert list(sources) == sorted(want) and len(sources) == len(want), spec.name
+        for i in range(len(spec.layers)):
+            if i not in want:
+                assert sources.get(i) is None and i not in sources
+        with pytest.raises(KeyError):
+            sources[len(spec.layers)]
+        for i, src in sources.items():
+            assert src.dtype == want[i].dtype and np.array_equal(src, want[i]), (spec.name, i)
+            assert sources[i] is src and sources.get(i) is src
+        with pytest.raises(TypeError):
+            sources[min(want)] = want[min(want)]
 
 
 def test_scatter_of_each_rewrite_restores_the_original():
