@@ -92,7 +92,8 @@ def summarize(runs: list, metric: dict) -> dict:
     ps, cs = quartiles(parent), quartiles(change)
     # positive: the change is worse, as a share of the parent's median
     worse = sign * (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
-    spread = (max(parent + change) - min(parent + change)) / ps["median"] if ps["median"] else 0.0
+    # run-to-run spread: the wider range of one side's runs
+    spread = max(max(v) - min(v) for v in (parent, change)) / ps["median"] if ps["median"] else 0.0
     every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
     if worse <= metric["bound"] and spread <= metric["bound"]:
         verdict = "within bound"
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
             "run from its own export of the committed files. Pair i runs the parent first "
             "when i is odd and the change first when i is even. A pair is won when the change "
             "reads better, ties count for neither. Quartiles are linear (numpy.percentile). "
-            "spread_pct is the range of all runs of the metric over the parent's median."
+            "spread_pct is the wider range of one side's runs over the parent's median."
         ),
         "command": f"python3 benchmarks/run.py --workload {{workload}} --seed {{seed}} "
                    f"--seconds {args.seconds:g} --trace {args.trace}",
