@@ -34,6 +34,7 @@ from .specio import (
     SpecDocument,
     SpecFormatError,
     TransformMetadata,
+    _items,
     load_document,
     save_document,
 )
@@ -72,8 +73,8 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
 def _json_text(obj, depth: int = 0) -> str:
     """json.dumps(obj, indent=1), byte for byte, for lists, tuples and
     str-keyed dicts: the C encoder renders each container that holds no
-    other, with one value per line, and only the brackets of the others are
-    joined here."""
+    other, with one value per line, and the others are joined by the
+    writer's _items."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     values = obj.values() if isinstance(obj, dict) else obj
@@ -82,10 +83,8 @@ def _json_text(obj, depth: int = 0) -> str:
         return f"{text[0]}\n{' ' * (depth + 1)}{text[1:-1]}\n{' ' * depth}{text[-1]}"
     items = [_json_text(v, depth + 1) for v in values]
     if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {v}" for k, v in zip(obj, items)]
-    inner = "\n" + " " * (depth + 1)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * depth}{brackets[1]}"
+        return _items([f"{json.dumps(k)}: {v}" for k, v in zip(obj, items)], depth, "{}")
+    return _items(items, depth)
 
 
 def _shape_text(shape) -> str:

@@ -47,10 +47,11 @@ transform), passes every string through json's C encode_basestring_ascii,
 writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
 bytes in one call.  It spells each path once as pathlib does ("a//./b" as
-"a/b", "out/" as "out"), the spelling its messages give, and works on the
-strings through os.path from there; the default sidecar is the name
-Path.with_suffix(".weights.bin") gives (_with_suffix), so "x." has the
-sidecar "x..weights.bin".  Both files are replaced in place (_write_over): an
+"a/b"), the spelling its messages give, refuses one that ends in a
+separator ("out/" names a directory) before it writes either file, and
+works on the strings through os.path from there; the default sidecar is
+the name Path.with_suffix(".weights.bin") gives (_with_suffix), so "x."
+has the sidecar "x..weights.bin".  Both files are replaced in place (_write_over): an
 existing file is written over from its start, keeping its inode, and then,
 if it was longer, cut to the new length; a target that is not a regular
 file, such as /dev/null or a FIFO, is written but not cut.  The sidecar is
@@ -58,19 +59,17 @@ written before its document, so a writer stopped anywhere in between,
 even killed with no handler run, leaves a sidecar that fails the crc32 of
 the document beside it.
 
-The reader reads each object once.  One module-level JSONDecoder parses
-the text (with json.loads's refusal of a byte order mark), and an object
-as the writer writes it passes one comparison of its key set with _KEYS
-and exact type tests of its fields (type(v) is int), and is built at once:
-the layer constructors take its ints and tuples as they are, and
-ChannelMap makes the input map's entries tuples and checks their types in
-its one pass.  An object that fails a test goes through field-by-field
-helpers (_checked_layer, _checked_transform, _require), only to name what
-is wrong, so every message is the one those helpers always gave.  A
-sidecar is read by one open, an fstat and one readinto a bytearray, so
-that its arrays are writable and aligned without a copy.  Paths go
-through os.path; a message names a path as pathlib spells it, worked out
-only when there is a message.
+The reader reads each object by one path.  One module-level JSONDecoder
+parses the text (with json.loads's refusal of a byte order mark), and one
+function per object kind tests each field once, by its key set and exact
+types (type(v) is int), in the order the messages name faults; it raises
+at the first and builds the object once, so a left-out optional key and
+its spelt default build the same object.  ChannelMap takes the input
+map's entries as parsed; only a map it refuses is scanned, to name the
+entry that is not a list of integers.  A sidecar is read by one open, an
+fstat and one readinto a bytearray, so its arrays are writable and
+aligned without a copy.  Paths go through os.path; a message names a path
+as pathlib spells it, worked out only when there is a message.
 
 The transform block links a transformed document to its source.  The
 rewrite writes the input map's entries in source-major order
@@ -81,11 +80,12 @@ channels in any order.
 Every integer field (channels_out, kernel, stride, units, input_shape, the
 input map's stride and entries, sidecar lengths and crc32) must be a JSON
 integer: floats and booleans are rejected, not coerced, and sidecar lengths
-must not be negative.  A sidecar must hold exactly 8 bytes per value the lengths
-declare, with no trailing bytes.  A key not shown for its object (a
-layer's of another kind, a weights block's of the other mode, or the dense
-"input_permutation" and transform "flatten_permutation" that earlier
-versions wrote) is rejected, as is a key repeated within one object.
+must not be negative.  A weights block holds every parameterized layer's
+key, and a sidecar exactly 8 bytes per value the lengths declare.  A key
+not shown for its object (a layer's of another kind, a weights block's of
+the other mode, or the dense "input_permutation" and transform
+"flatten_permutation" that earlier versions wrote) is rejected, as is a
+key repeated within one object.
 "provenance" must be a string, and inline weight arrays must be flat lists
 of JSON numbers, none beyond float64: an integer too large, or a decimal
 such as 1e400 that json reads as infinity, is rejected, while NaN, Infinity
@@ -95,6 +95,7 @@ and -Infinity load.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
 import math
@@ -142,36 +143,42 @@ class SpecDocument:
     weights_mode: str | None = None  # "inline" | "sidecar" | None as loaded
 
 
-def _int(val, where):
-    """val if it is a JSON integer; floats and booleans are rejected rather
-    than truncated (bool is a subclass of int)."""
+def _int(val, where, field):
+    """val, where's field, if it is a JSON integer; floats and booleans are
+    rejected rather than truncated (bool is a subclass of int)."""
     if type(val) is not int:
-        raise SpecFormatError(f"{where}: expected an integer, got {val!r}")
+        raise SpecFormatError(f"{where}: {field}: expected an integer, got {val!r}")
     return val
 
 
-def _ints(val, where):
+def _ints(val, where, field):
     if type(val) is list and set(map(type, val)) <= {int}:
         return tuple(val)
     if not isinstance(val, list):
-        raise SpecFormatError(f"{where}: expected a list of integers, got {val!r}")
-    return tuple(_int(v, where) for v in val)
+        raise SpecFormatError(f"{where}: {field}: expected a list of integers, got {val!r}")
+    return tuple(_int(v, where, field) for v in val)
 
 
 def _require(obj, key, kind, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SpecFormatError(f"{where}: missing field {key!r}")
-    val = obj[key]
-    if kind is int:
-        return _int(val, f"{where}: field {key!r}")
-    if not isinstance(val, kind):
-        raise SpecFormatError(f"{where}: field {key!r} has wrong type {type(val).__name__}")
+    """obj[key], of exactly the type kind: a bool never passes as an int."""
+    val = obj.get(key)
+    if type(val) is not kind:
+        raise _field_error(obj, key, kind, where)
     return val
 
 
-def _reject_unknown(obj, known, where):
-    if not obj.keys() <= known:
-        raise SpecFormatError(f"{where}: unknown field {sorted(set(obj) - known)[0]!r}")
+def _field_error(obj, key, kind, where) -> SpecFormatError:
+    """The message for obj's field key, missing or not of the type kind."""
+    if key not in obj:
+        return SpecFormatError(f"{where}: missing field {key!r}")
+    if kind is int:
+        return SpecFormatError(f"{where}: field {key!r}: expected an integer, got {obj[key]!r}")
+    return SpecFormatError(f"{where}: field {key!r} has wrong type {type(obj[key]).__name__}")
+
+
+def _unknown_field(obj, known, where) -> SpecFormatError:
+    """The message for obj, which holds a key not in known."""
+    return SpecFormatError(f"{where}: unknown field {sorted(obj.keys() - known)[0]!r}")
 
 
 # the keys save_document writes, the only ones each object may carry
@@ -193,69 +200,46 @@ _KEYS = {
 
 
 def _layer_from_json(i, obj):
-    """Layer i of a document.  A layer as the writer writes it, with the
-    keys of its kind and exact integers, is built at once; any other goes
-    to _checked_layer, whose checks name what is wrong with it."""
-    if type(obj) is dict:
-        kind, keys = obj.get("kind"), _KEYS["layer"]
-        if kind == "conv" and obj.keys() == keys["conv"]:
-            c, k, s = obj["channels_out"], obj["kernel"], obj["stride"]
-            if type(c) is type(s) is int and type(k) is list and list(map(type, k)) == [int, int]:
-                return ConvLayer(c, tuple(k), s)
-        elif kind == "activation" and obj.keys() == keys["activation"]:
-            if type(obj["function"]) is str:
-                return ActivationLayer(obj["function"])
-        elif kind == "fully_connected" and obj.keys() == keys["fully_connected"]:
-            if type(obj["units"]) is int:
-                return FullyConnectedLayer(obj["units"])
-    return _checked_layer(i, obj)
-
-
-def _checked_layer(i, obj):
+    """Layer i: its kind, keys and fields tested once each, in that order,
+    and the layer built once; a value its constructor refuses names i."""
     where = f"layer {i}"
     if type(obj) is not dict:
         raise SpecFormatError(f"{where}: expected an object, got {type(obj).__name__}")
     kind = _require(obj, "kind", str, where)
-    if kind not in _KEYS["layer"]:
+    keys = _KEYS["layer"].get(kind)
+    if keys is None:
         raise SpecFormatError(f"{where}: unknown kind {kind!r}")
-    _reject_unknown(obj, _KEYS["layer"][kind], f"{where} ({kind})")
+    if not obj.keys() <= keys:
+        raise _unknown_field(obj, keys, f"{where} ({kind})")
     if kind == "conv":
-        return ConvLayer(
-            channels_out=_require(obj, "channels_out", int, where),
-            kernel=_ints(_require(obj, "kernel", list, where), f"{where}: kernel"),
-            stride=_int(obj.get("stride", 1), f"{where}: stride"),
-        )
-    if kind == "activation":
-        return ActivationLayer(function=_require(obj, "function", str, where))
-    return FullyConnectedLayer(units=_require(obj, "units", int, where))
+        make, fields = ConvLayer, (_require(obj, "channels_out", int, where),
+                                   _ints(_require(obj, "kernel", list, where), where, "kernel"),
+                                   _int(obj.get("stride", 1), where, "stride"))
+    elif kind == "activation":
+        make, fields = ActivationLayer, (_require(obj, "function", str, where),)
+    else:
+        make, fields = FullyConnectedLayer, (_require(obj, "units", int, where),)
+    try:
+        return make(*fields)
+    except (ValueError, TypeError) as e:
+        raise SpecFormatError(f"{where}: {e}") from None
 
 
 def _network_from_json(obj) -> NetworkSpec:
-    name, provenance = obj.get("name"), obj.get("provenance", "original")
-    shape, layers_json = obj.get("input_shape"), obj.get("layers")
-    # a writer's network passes these tests; any other is checked field by
-    # field, for the message that names its first fault
-    if not (obj.keys() <= _KEYS["network"] and type(name) is type(provenance) is str
-            and type(shape) is type(layers_json) is list):
-        _reject_unknown(obj, _KEYS["network"], "network")
-        name = _require(obj, "name", str, "network")
-        provenance = (
-            _require(obj, "provenance", str, "network") if "provenance" in obj else "original"
-        )
-        shape = _require(obj, "input_shape", list, "network")
-        layers_json = _require(obj, "layers", list, "network")
-    layers = []
-    for i, layer in enumerate(layers_json):
-        try:
-            layers.append(_layer_from_json(i, layer))
-        except SpecFormatError:
-            raise
-        except (ValueError, TypeError) as e:
-            raise SpecFormatError(f"layer {i}: {e}") from None
+    """The network: keys, name, provenance, input_shape, layers, then each
+    layer and input_shape's values, in that order."""
+    if not obj.keys() <= _KEYS["network"]:
+        raise _unknown_field(obj, _KEYS["network"], "network")
+    name = _require(obj, "name", str, "network")
+    provenance = obj.get("provenance", "original")
+    if type(provenance) is not str:
+        raise _field_error(obj, "provenance", str, "network")
+    shape = _require(obj, "input_shape", list, "network")
+    layers = _require(obj, "layers", list, "network")
+    layers = tuple([_layer_from_json(i, layer) for i, layer in enumerate(layers)])
+    shape = _ints(shape, "network", "input_shape")
     try:
-        return NetworkSpec(name, _ints(shape, "network: input_shape"), tuple(layers), provenance)
-    except SpecFormatError:
-        raise
+        return NetworkSpec(name, shape, layers, provenance)
     except (ValueError, TypeError) as e:
         raise SpecFormatError(f"network: {e}") from None
 
@@ -272,7 +256,8 @@ def _attach_weights(network: NetworkSpec, wobj, doc_path: str) -> None:
     mode = _require(wobj, "mode", str, "weights")
     if mode not in _KEYS["weights"]:
         raise SpecFormatError(f"weights: unknown mode {mode!r}")
-    _reject_unknown(wobj, _KEYS["weights"][mode], f"weights ({mode})")
+    if not wobj.keys() <= _KEYS["weights"][mode]:
+        raise _unknown_field(wobj, _KEYS["weights"][mode], f"weights ({mode})")
     flats: dict[int, np.ndarray] = {}
     if mode == "inline":
         arrays = _require(wobj, "arrays", dict, "weights")
@@ -292,14 +277,16 @@ def _attach_weights(network: NetworkSpec, wobj, doc_path: str) -> None:
                 if v is not _CONSTANTS["Infinity"] and v is not _CONSTANTS["-Infinity"]:
                     raise SpecFormatError(beyond)
             flats[idx] = flat
+        _every_layer(flats, expected)
     else:
         rel = _require(wobj, "path", str, "weights")
         lengths = _require(wobj, "lengths", dict, "weights")
         crc = _require(wobj, "crc32", int, "weights") if "crc32" in wobj else None
-        counts = {_weight_index(k, index): _int(v, "weights: lengths") for k, v in lengths.items()}
+        counts = {_weight_index(k, index): _int(v, "weights", "lengths") for k, v in lengths.items()}
         for idx, n in counts.items():
             if n < 0:
                 raise SpecFormatError(f"weights: layer {idx} has negative length {n}")
+        _every_layer(counts, expected)
         total = sum(counts.values())
         blob = _read_sidecar(os.path.join(os.path.dirname(doc_path), rel), total, crc)
         pos = 0
@@ -315,6 +302,12 @@ def _attach_weights(network: NetworkSpec, wobj, doc_path: str) -> None:
                 f"needs {math.prod(want)}"
             )
         object.__setattr__(network.layers[idx], "weights", flat.reshape(want))
+
+
+def _every_layer(given: dict, expected: dict) -> None:
+    """Refuse keys that leave out a layer, which would load unweighted."""
+    if len(given) < len(expected):
+        raise SpecFormatError(f"weights: no values for layer {min(expected.keys() - given)}")
 
 
 def _read_sidecar(name: str, total: int, crc) -> np.ndarray:
@@ -366,31 +359,25 @@ def _weight_index(key: str, index: dict) -> int:
 
 
 def _transform_from_json(obj) -> TransformMetadata:
-    """The transform block.  The input map of a writer's block goes to
-    ChannelMap as it is, whose one pass over the entries makes them tuples
-    and checks their types; a block it refuses, or of other keys or
-    types, goes to _checked_transform, which names what is wrong."""
-    imap = obj.get("input_map")
-    if (obj.keys() == _KEYS["transform"] and type(obj["source"]) is str
-            and type(imap) is dict and imap.keys() == _KEYS["transform.input_map"]
-            and type(imap["stride"]) is int and type(imap["entries"]) is list):
-        with contextlib.suppress(ValueError, TypeError):
-            return TransformMetadata(obj["source"], ChannelMap(imap["stride"], imap["entries"]))
-    return _checked_transform(obj)
-
-
-def _checked_transform(obj) -> TransformMetadata:
-    _reject_unknown(obj, _KEYS["transform"], "transform")
+    """The transform block, tested in the order of its messages.  The
+    entries go to ChannelMap as parsed; only a map it refuses is scanned,
+    for an entry that is not a list of integers, to name that entry."""
+    if not obj.keys() <= _KEYS["transform"]:
+        raise _unknown_field(obj, _KEYS["transform"], "transform")
     source = _require(obj, "source", str, "transform")
+    where, keys = "transform.input_map", _KEYS["transform.input_map"]
     imap = _require(obj, "input_map", dict, "transform")
-    _reject_unknown(imap, _KEYS["transform.input_map"], "transform.input_map")
-    entries = _require(imap, "entries", list, "transform.input_map")
-    stride = _require(imap, "stride", int, "transform.input_map")
-    entries = tuple(_ints(e, "transform.input_map: entries") for e in entries)
+    if not imap.keys() <= keys:
+        raise _unknown_field(imap, keys, where)
+    entries = _require(imap, "entries", list, where)
+    stride = _require(imap, "stride", int, where)
     try:
-        return TransformMetadata(source, ChannelMap(stride=stride, entries=entries))
+        return TransformMetadata(source, ChannelMap(stride, entries))
     except (ValueError, TypeError) as e:
-        raise SpecFormatError(f"transform: {e}") from None
+        refused = e
+    for entry in entries:
+        _ints(entry, where, "entries")
+    raise SpecFormatError(f"transform: {refused}") from None
 
 
 # json.loads calls parse_constant only for the spellings NaN, Infinity and
@@ -437,22 +424,20 @@ def load_document(path) -> SpecDocument:
         raise SpecFormatError(f"{Path(path)}: top level must be an object")
     version = raw.get("schema_version")
     if type(version) is not int:
-        _require(raw, "schema_version", int, str(Path(path)))
+        raise _field_error(raw, "schema_version", int, Path(path))
     if version != SCHEMA_VERSION:
         raise SpecFormatError(
             f"{Path(path)}: schema_version {version} unsupported (expected {SCHEMA_VERSION})"
         )
     if not raw.keys() <= _KEYS["document"]:
-        _reject_unknown(raw, _KEYS["document"], str(Path(path)))
+        raise _unknown_field(raw, _KEYS["document"], Path(path))
     network = _network_from_json(_object(raw, "network", path))
     mode = None
     if "weights" in raw:
         wobj = _object(raw, "weights", path)
         _attach_weights(network, wobj, path)
         mode = wobj["mode"]
-    meta = None
-    if "transform" in raw:
-        meta = _transform_from_json(_object(raw, "transform", path))
+    meta = _transform_from_json(_object(raw, "transform", path)) if "transform" in raw else None
     return SpecDocument(network=network, transform=meta, weights_mode=mode)
 
 
@@ -460,7 +445,7 @@ def _object(raw, key, path):
     """The document's field key, which must be a JSON object."""
     val = raw.get(key)
     if type(val) is not dict:
-        _require(raw, key, dict, str(Path(path)))
+        raise _field_error(raw, key, dict, Path(path))
     return val
 
 
@@ -513,9 +498,8 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
     document's directory, which is where the reader looks it up."""
     if weights_mode not in (None, "inline", "sidecar"):
         raise ValueError(f"unknown weights mode {weights_mode!r}")
-    # each path as pathlib spells it ("a//./b" as "a/b", "out/" as "out"),
-    # worked out once: the files are opened, and messages name them, so spelt
-    path = str(Path(path))
+    path = _spelt(path)
+    sidecar = _spelt(sidecar_path) if sidecar_path else None
     network = doc.network
     # The skeleton is the formats above, filled in: the schema is closed
     # (_KEYS), so no general-purpose encoder walks the document.  Each inline
@@ -533,13 +517,17 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
         if getattr(l, "weights", None) is not None
     }
     if weights_mode is not None and carrying:
+        # the reader refuses a block that leaves a parameterized layer out
+        for i, layer in enumerate(network.layers):
+            if i not in carrying and not isinstance(layer, ActivationLayer):
+                raise ValueError(f"layer {i} has no weights for the weights block")
         if weights_mode == "inline":
             parts.append(',\n "weights": {\n  "mode": "inline",\n  "arrays": {')
             for n, (i, w) in enumerate(carrying.items()):
                 parts += [',' if n else '', f'\n   "{i}": ', *_inline_array(w)]
             parts.append("\n  }\n }")
         else:
-            sidecar = str(Path(sidecar_path)) if sidecar_path else _with_suffix(path, ".weights.bin")
+            sidecar = sidecar or _with_suffix(path, ".weights.bin")
             blob = np.concatenate([w.ravel() for w in carrying.values()], dtype="<f8")
             _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
@@ -558,6 +546,17 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
         ))
     parts.append("\n}\n")
     _write_over(path, parts, "w")
+
+
+def _spelt(path) -> str:
+    """path as pathlib spells it ("a//./b" as "a/b"), as files are opened
+    and named.  A final separator names a directory, which that spelling
+    drops, so such a path is refused as one."""
+    given = os.fspath(path)
+    spelt = str(Path(given))
+    if given.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), spelt)
+    return spelt
 
 
 def _with_suffix(path: str, suffix: str) -> str:

@@ -590,7 +590,8 @@ def test_transform_into_a_read_only_output_exits_4_and_keeps_it(tmp_path, mode, 
     assert kept == b"old bytes, longer than nothing\n"
 
 
-def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys, monkeypatch):
+def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, tmp_path_factory, capsys,
+                                                          monkeypatch):
     # an output the writer cannot open, whoever runs it
     out = tmp_path / "out.json"
     out.mkdir()
@@ -599,12 +600,22 @@ def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, capsys, monk
     assert "Is a directory" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["kept"]
     assert (out / "kept").read_bytes() == b"kept"
+    # inputs without weights, with inline and with sidecar weights
+    inputs = tmp_path_factory.mktemp("inputs")
+    spec = init_params(_random_net(3), seed=3)
+    for mode in ("inline", "sidecar"):
+        save_document(inputs / f"{mode}.json", SpecDocument(network=spec), weights_mode=mode)
     # the message names the output as pathlib spells it
     monkeypatch.chdir(tmp_path)
-    for output, error in (("out.json/", "Is a directory: 'out.json'"),
-                          ("nodir//./x.json", "No such file or directory: 'nodir/x.json'")):
-        assert main(["transform", str(FIXTURES / "lenet.json"), output]) == 4
-        assert error in capsys.readouterr().err
+    for source, first in ((FIXTURES / "lenet.json", "x.json"), (inputs / "inline.json", "x.json"),
+                          (inputs / "sidecar.json", "x.weights.bin")):
+        # newdir does not exist: its final separator still names a directory;
+        # a sidecar is the first file written
+        for output, error in (("out.json/", "Is a directory: 'out.json'"),
+                              ("newdir/", "Is a directory: 'newdir'"),
+                              ("nodir//./x.json", f"No such file or directory: 'nodir/{first}'")):
+            assert main(["transform", str(source), output]) == 4
+            assert error in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
@@ -724,6 +735,28 @@ def _assert_report_names_layer_0(lenet_pair, trans, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: layer 0: ")
         assert "layer 2" not in captured.err
+
+
+@pytest.mark.parametrize("mode, block", [("inline", "arrays"), ("sidecar", "lengths")])
+def test_a_weights_block_without_layer_0_is_refused_by_every_command(tmp_path, capsys, mode,
+                                                                     block):
+    # the transformed LeNet with layer 0's key taken out of its weights
+    # block: no command takes it as a network whose layer 0 has no weights
+    orig, trans = tmp_path / "orig.json", tmp_path / "trans.json"
+    spec = init_params(load_document(FIXTURES / "lenet.json").network, seed=0)
+    save_document(orig, SpecDocument(network=spec), weights_mode=mode)
+    assert main(["transform", str(orig), str(trans)]) == 0
+    raw = json.loads(trans.read_text())
+    del raw["weights"][block]["0"]
+    trans.write_text(json.dumps(raw))
+    capsys.readouterr()
+    for argv in (["report", str(orig), str(trans)], ["verify", str(orig), str(trans)],
+                 ["transform", str(trans), str(tmp_path / "again.json")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "error: weights: no values for layer 0\n", argv
+        assert captured.out == "", argv
+    assert not (tmp_path / "again.json").exists()
 
 
 def test_report_clean_weighted_pair_exits_0(lenet_pair, capsys):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import threading
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from destride import (
 )
 from destride import specio
 from oracles import document_text
+from test_transform import _random_net
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -125,7 +127,7 @@ def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatc
         assert _networks_equal(spec, load_document("docs/a.json").network)
     # by default the sidecar is the name pathlib's with_suffix gives, beside
     # the document ("x." gains a dot, ".json" keeps its own)
-    for i, name in enumerate(("x", "x.json", "x.tar.json", ".json", "out.json/", "x.")):
+    for i, name in enumerate(("x", "x.json", "x.tar.json", ".json", "x.")):
         doc, d = Path(f"beside-{i}", name), Path(f"beside-{i}")
         d.mkdir()
         save_document(f"{d}/{name}", SpecDocument(network=spec), weights_mode="sidecar")
@@ -133,6 +135,19 @@ def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatc
         assert sorted(p.name for p in d.iterdir()) == sorted([doc.name, sidecar.name]), name
         assert json.loads(doc.read_text())["weights"]["path"] == sidecar.name
         assert _networks_equal(spec, load_document(doc).network)
+    # a path that ends in a separator names a directory: refused, by the
+    # name pathlib spells, before either file is written
+    d = Path("beside-dir")
+    d.mkdir()
+    for mode in ("inline", "sidecar"):
+        for path, sidecar in (("beside-dir/out.json/", None),
+                              ("beside-dir/out.json", "beside-dir//w.bin/")):
+            spelt = "beside-dir/w.bin" if sidecar else "beside-dir/out.json"
+            with pytest.raises(IsADirectoryError) as e:
+                save_document(path, SpecDocument(network=spec), weights_mode=mode,
+                              sidecar_path=sidecar)
+            assert str(e.value) == f"[Errno 21] Is a directory: '{spelt}'"
+    assert list(d.iterdir()) == []
 
 
 def test_sidecar_is_little_endian_float64(tmp_path):
@@ -684,14 +699,14 @@ REJECTIONS = {
     'arrays.0:string': 'weights: layer 0 must be a flat list of numbers',
     'arrays.0:null': 'weights: layer 0 must be a flat list of numbers',
     'arrays.0:nested': 'weights: layer 0 must be a flat list of numbers',
-    'arrays.0:missing': None,
+    'arrays.0:missing': 'weights: no values for layer 0',
     'arrays.0:repeated': "key '0' appears twice in one object",
     'arrays.2:float': 'weights: layer 2 must be a flat list of numbers',
     'arrays.2:bool': 'weights: layer 2 must be a flat list of numbers',
     'arrays.2:string': 'weights: layer 2 must be a flat list of numbers',
     'arrays.2:null': 'weights: layer 2 must be a flat list of numbers',
     'arrays.2:nested': 'weights: layer 2 must be a flat list of numbers',
-    'arrays.2:missing': None,
+    'arrays.2:missing': 'weights: no values for layer 2',
     'arrays.2:repeated': "key '2' appears twice in one object",
     'arrays.extra': "weights: bad layer index 'extra'",
     'sidecar.mode:float': "weights: field 'mode' has wrong type float",
@@ -721,14 +736,14 @@ REJECTIONS = {
     'lengths.0:string': "weights: lengths: expected an integer, got 'x'",
     'lengths.0:null': 'weights: lengths: expected an integer, got None',
     'lengths.0:nested': 'weights: lengths: expected an integer, got [[1]]',
-    'lengths.0:missing': 'weights: sidecar holds 1056 bytes, lengths declare 108 values (864 bytes)',
+    'lengths.0:missing': 'weights: no values for layer 0',
     'lengths.0:repeated': "key '0' appears twice in one object",
     'lengths.2:float': 'weights: lengths: expected an integer, got 1.5',
     'lengths.2:bool': 'weights: lengths: expected an integer, got True',
     'lengths.2:string': "weights: lengths: expected an integer, got 'x'",
     'lengths.2:null': 'weights: lengths: expected an integer, got None',
     'lengths.2:nested': 'weights: lengths: expected an integer, got [[1]]',
-    'lengths.2:missing': 'weights: sidecar holds 1056 bytes, lengths declare 24 values (192 bytes)',
+    'lengths.2:missing': 'weights: no values for layer 2',
     'lengths.2:repeated': "key '2' appears twice in one object",
     'lengths.extra': "weights: bad layer index 'extra'",
     'transform.source:float': "transform: field 'source' has wrong type float",
@@ -798,6 +813,58 @@ def test_sidecar_crc32_is_an_optional_integer_that_must_match(tmp_path):
     p.write_text(text.replace(f',\n  {field}', ""))
     assert "crc32" not in p.read_text()
     assert load_document(p).weights_mode == "sidecar"
+
+
+def _defaults_left_out(text):
+    """text, a document as the writer writes it, without the optional keys
+    that spell their defaults: a stride-1 conv's "stride",
+    "provenance": "original" and a sidecar's "crc32"."""
+    text = text.replace(',\n    "stride": 1\n   }', "\n   }")
+    text = text.replace('\n  "provenance": "original",', "")
+    return re.sub(r',\n  "crc32": \d+', "", text)
+
+
+def _assert_same_load(a, b, name):
+    """a and b hold the same network, layer field by layer field and
+    weights bit for bit, the same weights mode and the same input map."""
+    assert (a.network.name, a.network.input_shape, a.network.provenance, a.weights_mode) == (
+        b.network.name, b.network.input_shape, b.network.provenance, b.weights_mode), name
+    assert len(a.network.layers) == len(b.network.layers), name
+    for la, lb in zip(a.network.layers, b.network.layers):
+        assert type(la) is type(lb), name
+        for f in fields(la):
+            va, vb = getattr(la, f.name), getattr(lb, f.name)
+            if f.name == "weights":
+                assert va.dtype == vb.dtype and va.shape == vb.shape, name
+                assert va.tobytes() == vb.tobytes(), name
+            else:
+                assert type(va) is type(vb) and va == vb, (name, f.name)
+                if type(va) is tuple:
+                    assert list(map(type, va)) == list(map(type, vb)), (name, f.name)
+    assert (a.transform is None) == (b.transform is None), name
+    if a.transform is not None:
+        ma, mb = a.transform.input_map, b.transform.input_map
+        assert (a.transform.source, ma.stride) == (b.transform.source, mb.stride), name
+        assert ma.entries == mb.entries and np.array_equal(ma.positions, mb.positions), name
+
+
+def test_a_left_out_optional_key_loads_as_its_spelt_default(tmp_path, lenet):
+    # both spellings of each optional key build one network: until the
+    # reader read each object by one path, they went through different
+    # constructors, and the table above records only that both load
+    cases = [(lenet, "inline"), (lenet, "sidecar")]
+    cases += [(init_params(_random_net(seed), seed=seed), ("inline", "sidecar")[seed % 2])
+              for seed in range(40)]
+    spelt, short = tmp_path / "spelt.json", tmp_path / "short.json"
+    for spec, mode in cases:
+        for doc in (SpecDocument(network=spec), _transformed(spec)):
+            name = f"{doc.network.name} {mode}"
+            save_document(spelt, doc, weights_mode=mode,
+                          sidecar_path=tmp_path / "w.bin" if mode == "sidecar" else None)
+            text = spelt.read_text()
+            short.write_text(_defaults_left_out(text))
+            assert short.read_text() != text, name
+            _assert_same_load(load_document(spelt), load_document(short), name)
 
 
 @pytest.mark.parametrize("mode", ["inline", "sidecar"])
@@ -911,6 +978,25 @@ def test_save_rejects_unknown_mode(tmp_path):
         with pytest.raises(ValueError, match="^unknown weights mode 'csv'$"):
             save_document(path, SpecDocument(network=net), weights_mode="csv")
         assert not path.exists() and not path.with_suffix(".weights.bin").exists()
+
+
+def test_save_refuses_a_weights_block_that_would_leave_a_layer_out(tmp_path):
+    # the reader refuses a block without a parameterized layer's key, so
+    # the writer writes no file of such a document
+    full = _small_net(seed=9)
+    conv, relu, dense = full.layers
+    for layers, bare in (((conv, relu, replace(dense, weights=None)), 2),
+                         ((replace(conv, weights=None), relu, dense), 0)):
+        net = replace(full, layers=layers)
+        for mode in ("inline", "sidecar"):
+            with pytest.raises(ValueError, match=f"^layer {bare} has no weights"):
+                save_document(tmp_path / "a.json", SpecDocument(network=net), weights_mode=mode)
+            assert list(tmp_path.iterdir()) == []
+    # a network without weights still writes no block, in either mode
+    for mode in ("inline", "sidecar"):
+        save_document(tmp_path / "a.json", SpecDocument(network=_small_net()), weights_mode=mode)
+        assert "weights" not in json.loads((tmp_path / "a.json").read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 def test_names_must_be_strings():
