@@ -66,15 +66,31 @@ def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
     leaves room in the input's size for the index.  One feature map, or any
     other batch, is one product.
 
-    A call is the two steps that forward keeps apart: Im2col.of checks the
-    shapes and builds the gather index, which forward plans once per
-    network, and Im2col.apply reads the weights, gathers and multiplies,
-    which forward does at every call.  So a one-shot call builds its index
-    every time, a few microseconds for a small conv.
+    A call checks the shapes, then takes the two steps that forward keeps
+    apart: Im2col.of plans the checked shapes, building the gather index,
+    which forward does once per network, and Im2col.apply reads the
+    weights, gathers and multiplies, which forward does at every call.  So
+    a one-shot call builds its index every time, a few microseconds for a
+    small conv.
     """
     w = np.asarray(weights, dtype=np.float64)
     # C-ordered, so that flattening each item is a view
     x = np.asarray(feature_map, dtype=np.float64, order="C")
+    if w.ndim != 4:
+        raise ValueError(f"weights must be 4-D (out, in, row, col), got rank {w.ndim}")
+    if x.ndim not in (3, 4):
+        raise ValueError(
+            "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
+            f"col), got rank {x.ndim}"
+        )
+    c, h, wd = x.shape[-3:]
+    _, cin, a, b = w.shape
+    if cin != c:
+        raise ValueError(f"filter expects {cin} input channels, feature map has {c}")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if a > h or b > wd:
+        raise ValueError(f"filter {(a, b)} larger than image {(h, wd)}")
     plan = Im2col.of(w.shape, x.shape, stride)
     batch = x.shape[:-3]
     return plan.apply(w, x, batch).reshape(*batch, *plan.out)
@@ -90,7 +106,10 @@ class Im2col:
     (0.11 MB) for its rewrite.  A 1x1 stride-1 conv has none, since its
     input already is its column matrix."""
 
-    # the index.  Kept writeable and private, because ndarray.take copies an
+    # the index: an intp array of one item's column matrix shape (c*a*b,
+    # oh*ow), whose entry (r, j) is the flat position in a C-ordered (c, h,
+    # w) item of the value in row r of column j, or None for a 1x1 stride-1
+    # conv.  Kept writeable and private, because ndarray.take copies an
     # index that is not writeable, on every call
     _gather: np.ndarray | None
     rows: int           # c * a * b, the column matrix's rows
@@ -98,40 +117,15 @@ class Im2col:
     out: tuple          # (out_channels, oh, ow)
     size: int           # c * h * w, one item's values
 
-    @property
-    def index(self) -> np.ndarray | None:
-        """The gather index, read-only: an intp array of one item's column
-        matrix shape (c*a*b, oh*ow), whose entry (r, j) is the flat position
-        in a C-ordered (c, h, w) item of the value in row r of column j.
-        None for a 1x1 stride-1 conv."""
-        if self._gather is None:
-            return None
-        view = self._gather.view()
-        view.flags.writeable = False
-        return view
-
     @classmethod
     def of(cls, weight_shape, map_shape, stride: int) -> "Im2col":
-        """The plan for weights of weight_shape over feature maps of
-        map_shape, (channels, h, w) or (N, channels, h, w), at stride; a
-        ValueError when they do not fit."""
-        if len(weight_shape) != 4:
-            raise ValueError(
-                f"weights must be 4-D (out, in, row, col), got rank {len(weight_shape)}"
-            )
-        if len(map_shape) not in (3, 4):
-            raise ValueError(
-                "feature map must be 3-D (channel, row, col) or 4-D (batch, channel, row, "
-                f"col), got rank {len(map_shape)}"
-            )
+        """The plan for weights of weight_shape (out, in, a, b) over feature
+        maps of map_shape, (in, h, w) or (N, in, h, w), at stride: shapes
+        the caller has checked (conv_multichannel, or network._walk for
+        forward), the kernel no larger than the image and stride at least
+        1.  Works out the geometry and the gather index; checks nothing."""
         c, h, wd = map_shape[-3:]
-        out_c, cin, a, b = weight_shape
-        if cin != c:
-            raise ValueError(f"filter expects {cin} input channels, feature map has {c}")
-        if stride < 1:
-            raise ValueError(f"stride must be at least 1, got {stride}")
-        if a > h or b > wd:
-            raise ValueError(f"filter {tuple(weight_shape[2:])} larger than image {(h, wd)}")
+        out_c, _, a, b = weight_shape
         oh, ow = (h - a) // stride + 1, (wd - b) // stride + 1
         rows, cols = c * a * b, oh * ow
         if a == b == stride == 1:

@@ -48,11 +48,11 @@ writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
 bytes in one call.  It spells each path once as pathlib does ("a//./b" as
 "a/b"), the spelling its messages give, refuses one that ends in a
-separator ("out/" names a directory) before it writes either file, and
-works on the strings through os.path from there; the default sidecar is
-the name Path.with_suffix(".weights.bin") gives (_with_suffix), so "x."
-has the sidecar "x..weights.bin".  Both files are replaced in place (_write_over): an
-existing file is written over from its start, keeping its inode, and then,
+separator ("out/" names a directory), or one whose directory is missing,
+before it writes either file, and works on the strings through os.path
+from there; the default sidecar is the name Path.with_suffix(".weights.bin")
+gives (_with_suffix), so "x." has the sidecar "x..weights.bin".  Both
+files are replaced in place (_write_over): an existing file is written over from its start, keeping its inode, and then,
 if it was longer, cut to the new length; a target that is not a regular
 file, such as /dev/null or a FIFO, is written but not cut.  The sidecar is
 written before its document, so a writer stopped anywhere in between,
@@ -528,6 +528,10 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             parts.append("\n  }\n }")
         else:
             sidecar = sidecar or _with_suffix(path, ".weights.bin")
+            # the sidecar is written first, so a missing directory is named
+            # by the document, as it is in the other modes
+            if not os.path.isdir(os.path.dirname(path) or os.curdir):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             blob = np.concatenate([w.ravel() for w in carrying.values()], dtype="<f8")
             _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]

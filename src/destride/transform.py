@@ -63,7 +63,7 @@ from .network import ConvLayer, NetworkSpec, _walk
 from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
 from .tensors import _integer, as_matrix
 
-@functools.cache
+
 def channel_entries(channels: int, stride: int) -> tuple:
     """Enumerate the (source_channel, row_offset, col_offset) triples, all
     1-based, that name the channels of a multiplicity-`stride`
@@ -71,8 +71,9 @@ def channel_entries(channels: int, stride: int) -> tuple:
     grids of one source channel contiguous, which is the channel order of
     pixel unshuffle.  Any other complete enumeration renames channels
     consistently and gives an equivalent network; documents may hold one.
-    Cached: each (channels, stride) gives one tuple, which is how ChannelMap
-    knows the rewrite's own map.
+    A new tuple at every call: ChannelMap checks every map against it, and
+    the rewrite reuses one frozen map per (channels, stride) instead
+    (_source_major_map).
     """
     grids = range(1, stride + 1)
     return tuple(itertools.product(range(1, channels + 1), grids, grids))
@@ -86,40 +87,32 @@ class ChannelMap:
     new channel i holds the (p, q, stride) grid sample of source channel k.
     The stride must be an integer, and the entries integer triples that
     enumerate every (k, p, q) combination exactly once; a float or a bool is
-    refused, not truncated.  Their source-major positions, and whether they
-    are in source-major order, are cached privately, not as fields, so ==,
-    hash and repr see only stride and entries.  The rewrite's own map, whose
-    entries are the very tuple channel_entries returns, is taken without a
-    check; any other entries, equal in value or not, are checked.
+    refused, not truncated.  Every map, the rewrite's own too, is checked in
+    full where it is built; entries in source-major order skip only the
+    sort.  Their source-major positions, and whether they are in
+    source-major order, are cached privately, not as fields, so ==, hash and
+    repr see only stride and entries.
     """
 
     stride: int
     entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        entries = self.entries
-        # channel_entries built its cached tuple from int triples in
-        # source-major order, so that tuple itself needs no check
-        in_order = bool(
-            type(self.stride) is int and self.stride >= 1 and type(entries) is tuple and entries
-            and entries is channel_entries(len(entries) // self.stride**2, self.stride)
-        )
-        if not in_order:
-            entries = tuple(map(tuple, entries))
-            object.__setattr__(self, "entries", entries)
-            # bool is a subclass of int and 1.0 == 1, so the types are checked
-            if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
-                raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
-            if not entries:
-                raise ValueError("channel map needs at least one entry")
-            channels, rest = divmod(len(entries), self.stride**2)
-            types = set(map(type, itertools.chain.from_iterable(entries)))
-            if rest or not all(t is int or issubclass(t, np.integer) for t in types):
-                raise ValueError("entries must cover every (channel, p, q) exactly once")
-            source_major = channel_entries(channels, self.stride)
-            # integer entries equal to the source-major ones are that cover,
-            # in that order: nothing to sort
-            in_order = entries == source_major
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        # bool is a subclass of int and 1.0 == 1, so the types are checked
+        if not (type(self.stride) is int or isinstance(self.stride, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride must be an integer of at least 1, got {self.stride!r}")
+        if not entries:
+            raise ValueError("channel map needs at least one entry")
+        channels, rest = divmod(len(entries), self.stride**2)
+        types = set(map(type, itertools.chain.from_iterable(entries)))
+        if rest or not all(t is int or issubclass(t, np.integer) for t in types):
+            raise ValueError("entries must cover every (channel, p, q) exactly once")
+        source_major = channel_entries(channels, self.stride)
+        # integer entries equal to the source-major ones are that cover, in
+        # that order: nothing to sort
+        in_order = entries == source_major
         if in_order:
             position = np.arange(len(entries))
         else:
@@ -144,6 +137,14 @@ class ChannelMap:
     def source_channels(self) -> int:
         # the entries hold stride**2 grids per source channel
         return len(self.entries) // self.stride**2
+
+
+@functools.lru_cache(maxsize=32)
+def _source_major_map(channels: int, stride: int) -> ChannelMap:
+    """The rewrite's input map: channel_entries(channels, stride) as a
+    ChannelMap, checked once and then shared, since it is frozen.  The last
+    32 (channels, stride) pairs asked are kept; no document's map is."""
+    return ChannelMap(stride, channel_entries(channels, stride))
 
 
 class _SourceMaps(Mapping):
@@ -371,7 +372,7 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     # the first conv reads the network input, so the check above has
     # already made sure the input divides by the total stride
     c0, h0, w0 = spec.input_shape
-    input_map = ChannelMap(total, channel_entries(c0, total))
+    input_map = _source_major_map(c0, total)
     transformed = NetworkSpec(
         name=f"{spec.name}-destrided",
         input_shape=(c0 * total * total, h0 // total, w0 // total),

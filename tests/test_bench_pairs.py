@@ -2,6 +2,8 @@
 benchmark is started."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,82 @@ def test_unpaired_runs_are_left_out():
     assert summary["pairs"] == 3
     assert summary["parent"]["median"] == PARENT[1]
     assert bench_pairs.summarize(runs[-1:], LOWER) == {}
+
+
+def _fake_tree(root: Path, body: str) -> Path:
+    """A tree whose benchmarks/run.py is body, a script of the standard library."""
+    (root / "benchmarks").mkdir(parents=True)
+    (root / "benchmarks" / "run.py").write_text(body)
+    return root
+
+
+def _result_script(fail_on_even_seeds=False) -> str:
+    """A run.py that prints one result line in run.py's shape, every declared
+    end-to-end metric at 1.0; exits 3 on an even --seed if asked."""
+    names = [m["name"] for m in json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+             ["end_to_end"]]
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {n: {"value": 1.0} for n in names}}
+    return (
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        f"if {fail_on_even_seeds} and seed % 2 == 0:\n"
+        "    sys.exit(3)\n"
+        f"print('progress')\nprint(json.dumps({result!r}))\n"
+    )
+
+
+def test_run_once_records_a_run_that_exits_non_zero(tmp_path):
+    tree = _fake_tree(tmp_path, "import sys\n"
+                                "for i in range(25):\n    print('line', i, file=sys.stderr)\n"
+                                "print('{}')\nsys.exit(3)\n")
+    out = bench_pairs.run_once(tree, "zoo", 1, 1.0, 0)
+    assert (out["how_it_ended"], out["exit_code"]) == ("failed", 3)
+    assert out["stderr_tail"] == [f"line {i}" for i in range(5, 25)]
+    assert "result" not in out and out["wall_s"] > 0
+
+
+def test_run_once_records_a_last_line_that_is_not_json(tmp_path):
+    for n, body in enumerate(("print('{\"correct\": true}')\nprint('done')\n",
+                              "print('[1, 2]')\n", "")):
+        out = bench_pairs.run_once(_fake_tree(tmp_path / str(n), body), "zoo", 1, 1.0, 0)
+        assert (out["how_it_ended"], out["exit_code"], out["stderr_tail"]) == ("malformed", 0, [])
+        assert "result" not in out
+
+
+def test_run_once_reads_the_last_line_of_a_run_that_ends_ok(tmp_path):
+    out = bench_pairs.run_once(_fake_tree(tmp_path, _result_script()), "zoo", 1, 1.0, 0)
+    assert (out["how_it_ended"], out["exit_code"]) == ("ok", 0)
+    assert out["result"]["attempted"] == 5 and out["result"]["correct"]
+
+
+def test_run_once_records_a_run_that_times_out(tmp_path, monkeypatch):
+    def timed_out(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"], b"", b"one\ntwo\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", timed_out)
+    out = bench_pairs.run_once(tmp_path, "zoo", 1, 1.0, 0)
+    assert (out["how_it_ended"], out["exit_code"], out["stderr_tail"]) == (
+        "timed_out", None, ["one", "two"])
+
+
+def test_a_session_goes_on_past_a_failed_run(tmp_path, monkeypatch, capsys):
+    # the change side exits 3 on the second pair's seed, 6: that run is
+    # recorded without metrics, the other three run, and main exits 1
+    trees = {"parent": _fake_tree(tmp_path / "parent", _result_script()),
+             "change": _fake_tree(tmp_path / "change", _result_script(fail_on_even_seeds=True))}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, tree: trees[rev])
+    out = tmp_path / "record.json"
+    assert bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "zoo",
+                             "--seed", "5", "--pairs", "2", "--seconds", "1",
+                             "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["workloads"]["zoo"]
+    runs = [(r["pair"], r["side"], r["how_it_ended"], r["exit_code"], "metrics" in r)
+            for r in entry["runs"]]
+    assert runs == [(1, "parent", "ok", 0, True), (1, "change", "ok", 0, True),
+                    (2, "change", "failed", 3, False), (2, "parent", "ok", 0, True)]
+    assert entry["runs_not_ok"] == {"change": 1}
+    assert entry["attempted"] == {"parent": 10, "change": 5}
+    assert entry["summary"]["transform_s"]["pairs"] == 1
+    assert "zoo pair 2 seed 6 change: failed (exit code 3)" in capsys.readouterr().out

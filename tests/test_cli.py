@@ -607,13 +607,13 @@ def test_transform_into_a_directory_exits_4_and_leaves_it(tmp_path, tmp_path_fac
         save_document(inputs / f"{mode}.json", SpecDocument(network=spec), weights_mode=mode)
     # the message names the output as pathlib spells it
     monkeypatch.chdir(tmp_path)
-    for source, first in ((FIXTURES / "lenet.json", "x.json"), (inputs / "inline.json", "x.json"),
-                          (inputs / "sidecar.json", "x.weights.bin")):
+    for source in (FIXTURES / "lenet.json", inputs / "inline.json", inputs / "sidecar.json"):
         # newdir does not exist: its final separator still names a directory;
-        # a sidecar is the first file written
+        # a missing directory is named by the document, also where a sidecar
+        # is the first file written
         for output, error in (("out.json/", "Is a directory: 'out.json'"),
                               ("newdir/", "Is a directory: 'newdir'"),
-                              ("nodir//./x.json", f"No such file or directory: 'nodir/{first}'")):
+                              ("nodir//./x.json", "No such file or directory: 'nodir/x.json'")):
             assert main(["transform", str(source), output]) == 4
             assert error in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

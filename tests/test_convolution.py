@@ -367,8 +367,8 @@ def test_conv_multichannel_1x1_stride_1_copies_nothing():
 
 def test_im2col_index_holds_each_window_position():
     # the gather index is the strided window view laid over one item's flat
-    # positions, in (c, a, b, oh, ow) order: read-only, and None exactly where
-    # the item already is its column matrix
+    # positions, in (c, a, b, oh, ow) order, and None exactly where the item
+    # already is its column matrix
     r = np.random.default_rng(26)
     for _ in range(200):
         c = int(r.integers(1, 5))
@@ -382,15 +382,12 @@ def test_im2col_index_holds_each_window_position():
         oh, ow = windows.shape[1:3]
         assert (g.rows, g.cols, g.size) == (c * a * b, oh * ow, c * h * w)
         if a == b == s == 1:
-            assert g.index is None
+            assert g._gather is None
             continue
         want = windows.transpose(0, 3, 4, 1, 2).reshape(c * a * b, oh * ow)
-        assert g.index.dtype == np.intp and g.index.shape == want.shape
-        assert np.array_equal(g.index, want), (c, h, w, a, b, s)
-        assert not g.index.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            g.index[0, 0] = 1
-        assert np.array_equal(Im2col.of((1, c, a, b), (c, h, w), s).index, want)
+        assert g._gather.dtype == np.intp and g._gather.shape == want.shape
+        assert np.array_equal(g._gather, want), (c, h, w, a, b, s)
+        assert np.array_equal(Im2col.of((1, c, a, b), (c, h, w), s)._gather, want)
 
 
 def test_conv_multichannel_rejects_other_ranks():

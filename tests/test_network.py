@@ -300,7 +300,7 @@ def test_forward_plan_holds_one_index_per_conv():
         steps, _ = vars(net)["_forward_plan"]
         convs = [plan for _, kind, plan in steps if kind == "conv"]
         assert len(convs) == sum(isinstance(l, ConvLayer) for l in net.layers)
-        counts.append([0 if p.index is None else p.index.size for p in convs])
+        counts.append([0 if p._gather is None else p._gather.size for p in convs])
     assert counts == [[14_400, 11_520, 32_000, 3_200], [2_304, 0, 11_520, 0]]
     assert [sum(c) for c in counts] == [61_120, 13_824]
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -223,11 +224,11 @@ def test_channel_map_validates_bijection():
     # numpy integers are integers
     assert ChannelMap(1, ((np.int64(1), 1, 1),)).positions.tolist() == [0]
     assert ChannelMap(np.int64(2), _entries(1, 2)).positions.tolist() == [0, 1, 2, 3]
-    # the rewrite's own map, channel_entries' cached tuple itself, is taken
-    # as it is; entries equal to it in value but spelt otherwise are checked
-    # as any others: refused when not integers, normalised when they are
+    # every map is checked the same way, channel_entries' own tuple too:
+    # entries equal to it in value but spelt otherwise are refused when not
+    # integers, normalised when they are.  channel_entries caches nothing
     own = channel_entries(2, 2)
-    assert channel_entries(2, 2) is own and ChannelMap(2, own).entries is own
+    assert channel_entries(2, 2) == own and channel_entries(2, 2) is not own
     for entries in (
         [tuple(map(float, e)) for e in own],
         [tuple(map(bool, e)) for e in channel_entries(1, 1)],
@@ -239,7 +240,7 @@ def test_channel_map_validates_bijection():
         stride = 1 if len(entries) == 1 else 2
         with pytest.raises(ValueError, match=r"must cover every \(channel, p, q\) exactly once"):
             ChannelMap(stride, entries)
-    for entries in ([list(e) for e in own], [tuple(map(np.int64, e)) for e in own],
+    for entries in (own, [list(e) for e in own], [tuple(map(np.int64, e)) for e in own],
                     tuple(_entries(2, 2)), iter(own)):
         m = ChannelMap(2, entries)
         assert m.entries == own and m.entries is not own and m._source_major
@@ -436,6 +437,32 @@ def test_single_input_equals_batch_of_one():
         assert empty.shape == (0,) + result.network.input_shape
         assert forward(result.network, empty).shape == (0, y.size)
         assert forward(spec, np.zeros((0,) + spec.input_shape)).shape == (0, y.size)
+
+
+def test_a_dropped_channel_map_leaves_nothing_cached():
+    # the check builds the source-major cover it compares with, and keeps
+    # nothing of it once the map is gone
+    entries = [(k, 1, 1) for k in range(1, 100_001)]
+    tracemalloc.start()
+    try:
+        ChannelMap(1, entries)
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 1_000_000
+
+
+def test_the_rewrite_shares_one_input_map_per_channels_and_stride():
+    # the rewrite's input map depends only on the input channels and the
+    # total stride, and is frozen, so one checked object serves every rewrite
+    a = transform_network(NetworkSpec("a", (2, 8, 8), (ConvLayer(3, (2, 2), 2),)))
+    b = transform_network(NetworkSpec("b", (2, 12, 10), (
+        ConvLayer(1, (3, 3), 1), ActivationLayer("relu"), ConvLayer(4, (2, 2), 2))))
+    assert a.input_map is b.input_map
+    assert a.input_map == ChannelMap(2, channel_entries(2, 2)) and a.input_map._source_major
+    other = transform_network(NetworkSpec("c", (3, 8, 8), (ConvLayer(3, (2, 2), 2),)))
+    assert other.input_map is not a.input_map and other.input_map.source_channels == 3
 
 
 def test_channel_map_gather_index_is_private_and_read_only():

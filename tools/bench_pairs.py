@@ -38,6 +38,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# what main reads of a run's result
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 
 def git(*args) -> str:
@@ -58,18 +60,36 @@ def export(rev: str, tree: Path) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The last line of one benchmark run's standard output, with its wall time."""
+    """One benchmark run, whatever its end: how_it_ended ("ok", "failed" for
+    a non-zero exit, "malformed" for a last line of standard output that is
+    not a JSON result, "timed_out"), its exit code (None when timed out),
+    the last 20 lines of its standard error and its wall time.  An ok run
+    adds "result", the JSON object its last line of standard output holds."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=seconds * 4 + 600)
-    if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-2000:]}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    result["wall_s"] = time.perf_counter() - t0
-    return result
+    try:
+        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                              timeout=seconds * 4 + 600)
+    except subprocess.TimeoutExpired as e:
+        stderr = e.stderr.decode(errors="replace") if isinstance(e.stderr, bytes) else e.stderr
+        record = {"how_it_ended": "timed_out", "exit_code": None}
+    else:
+        stderr = done.stderr
+        record = {"how_it_ended": "failed" if done.returncode else "ok",
+                  "exit_code": done.returncode}
+    record["stderr_tail"] = (stderr or "").splitlines()[-20:]
+    record["wall_s"] = time.perf_counter() - t0
+    if record["how_it_ended"] == "ok":
+        try:
+            result = json.loads(done.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            result = None
+        if isinstance(result, dict) and RESULT_KEYS <= result.keys():
+            record["result"] = result
+        else:
+            record["how_it_ended"] = "malformed"
+    return record
 
 
 def quartiles(values) -> dict:
@@ -83,7 +103,9 @@ def summarize(runs: list, metric: dict) -> dict:
     name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
     pairs = {}
     for run in runs:
-        pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"][name]
+        # a run that did not end ok has no metrics, and leaves its pair incomplete
+        if "metrics" in run:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"][name]
     pairs = [p for p in pairs.values() if len(p) == 2]
     parent = [p["parent"] for p in pairs]
     change = [p["change"] for p in pairs]
@@ -185,26 +207,39 @@ def main(argv=None) -> int:
                 record.setdefault("claims", {})[name] = claim(record, w, m, better[m])
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
+    not_ok = 0
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         for w in args.workload:
             entry = record["workloads"][w] = {"runs": [], "attempted": {}, "failed": {},
-                                              "incorrect_runs": {}, "summary": {}}
+                                              "incorrect_runs": {}, "runs_not_ok": {},
+                                              "summary": {}}
             for i, s in enumerate(seeds[w], start=1):
                 for side in (("parent", "change") if i % 2 else ("change", "parent")):
                     out = run_once(trees[side], w, s, args.seconds, args.trace)
-                    entry["runs"].append({
-                        "pair": i, "seed": s, "side": side, "correct": out["correct"],
-                        "attempted": out["attempted"], "failed": out["failed"],
-                        "wall_s": out["wall_s"],
-                        "metrics": {k: v["value"] for k, v in out["metrics"].items()},
+                    run = {"pair": i, "seed": s, "side": side, "how_it_ended": out["how_it_ended"],
+                           "exit_code": out["exit_code"], "wall_s": out["wall_s"]}
+                    entry["runs"].append(run)
+                    if out["how_it_ended"] != "ok":
+                        # recorded without metrics, and the session goes on
+                        run["stderr_tail"] = out["stderr_tail"]
+                        entry["runs_not_ok"][side] = entry["runs_not_ok"].get(side, 0) + 1
+                        not_ok += 1
+                        print(f"{w} pair {i} seed {s} {side}: {out['how_it_ended']} "
+                              f"(exit code {out['exit_code']})", flush=True)
+                        continue
+                    result = out["result"]
+                    run.update({
+                        "correct": result["correct"], "attempted": result["attempted"],
+                        "failed": result["failed"],
+                        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                     })
-                    for key, value in (("attempted", out["attempted"]),
-                                       ("failed", out["failed"]),
-                                       ("incorrect_runs", int(not out["correct"]))):
+                    for key, value in (("attempted", result["attempted"]),
+                                       ("failed", result["failed"]),
+                                       ("incorrect_runs", int(not result["correct"]))):
                         entry[key][side] = entry[key].get(side, 0) + value
                     print(f"{w} pair {i} seed {s} {side}: " + ", ".join(
-                        f"{k} {v['value']:.6g}" for k, v in out["metrics"].items()),
+                        f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
                         flush=True)
                 if args.trace == 0:
                     entry["summary"] = {m["name"]: summarize(entry["runs"], m) for m in metrics}
@@ -213,7 +248,9 @@ def main(argv=None) -> int:
         print(f"claim {name}: {c['parent_median']:.6g} -> {c['change_median']:.6g} "
               f"({c['median_change_pct']:+.1f} %), {c['change_wins']} of {c['pairs']} pairs, "
               f"parent IQR {c['parent_iqr']:.3g}: {'holds' if c['holds'] else 'does not hold'}")
-    return 0
+    if not_ok:
+        print(f"{not_ok} runs did not end ok", file=sys.stderr)
+    return 1 if not_ok else 0
 
 
 if __name__ == "__main__":
