@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification or selftest failure or stored weights
 that are not the copies `report` expects, 2 usage or document-format error,
-3 divisibility/shape error or an architecture `report` rejects, 4 I/O error.
+3 divisibility/shape error, an architecture `report` rejects or a network
+too large to hold in memory, 4 I/O error.  `--json` output is
+json.dumps(..., indent=1).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .specio import (
     SpecDocument,
     SpecFormatError,
     TransformMetadata,
-    _items,
     load_document,
     save_document,
 )
@@ -59,32 +60,6 @@ def _option_type(convert, ok, expected: str):
 _positive_int = _option_type(int, lambda v: v >= 1, "a positive integer")
 _seed = _option_type(int, lambda v: v >= 0, "a non-negative integer")
 _tolerance = _option_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-
-
-_CONTAINERS = (list, tuple, dict)
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    # without indent, JSONEncoder.encode runs the C encoder
-    return json.JSONEncoder(separators=(",\n" + " " * depth, ": "))
-
-
-def _json_text(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=1), byte for byte, for lists, tuples and
-    str-keyed dicts: the C encoder renders each container that holds no
-    other, with one value per line, and the others are joined by the
-    writer's _items."""
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return json.dumps(obj)
-    values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, _CONTAINERS) for v in values):
-        text = _flat_encoder(depth + 1).encode(obj)
-        return f"{text[0]}\n{' ' * (depth + 1)}{text[1:-1]}\n{' ' * depth}{text[-1]}"
-    items = [_json_text(v, depth + 1) for v in values]
-    if isinstance(obj, dict):
-        return _items([f"{json.dumps(k)}: {v}" for k, v in zip(obj, items)], depth, "{}")
-    return _items(items, depth)
 
 
 def _shape_text(shape) -> str:
@@ -177,7 +152,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        print(_json_text(report.as_dict()))
+        print(json.dumps(report.as_dict(), indent=1))
     else:
         print(
             f"{odoc.network.name} vs {tdoc.network.name}: "
@@ -248,7 +223,7 @@ def cmd_report(args) -> int:
         return 1
     rows = parameter_report(odoc.network, result.sources)
     if args.json:
-        print(_json_text([r.as_dict() for r in rows]))
+        print(json.dumps([r.as_dict() for r in rows], indent=1))
         return 0
     print(f"parameter sharing: {odoc.network.name} -> {tdoc.network.name}")
     print(f"{'layer':>5}  {'kind':<16} {'original':>9} {'stored':>9} {'padding':>9} {'distinct':>9} {'replication':>11}")
@@ -332,6 +307,10 @@ def main(argv=None) -> int:
         return 2
     except (RaggedSamplingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        # numpy names the allocation it could not make; a bare one says nothing
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

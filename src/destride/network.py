@@ -104,34 +104,49 @@ def _conv_out(dim: int, kernel: int, stride: int, layer_idx: int, axis: str) -> 
     return (dim - kernel) // stride + 1
 
 
+# numpy can neither index nor allocate more elements than intp holds
+_MAX_SIZE = np.iinfo(np.intp).max
+
+
+def _too_large(i: int, wshape, out) -> ValueError:
+    return ValueError(f"layer {i}: {math.prod(wshape)} weights, output {out}: more values "
+                      f"than a numpy array holds ({_MAX_SIZE})")
+
+
 def _walk(spec: NetworkSpec):
     """Yield (input shape, output shape, weight shape or None) per layer.
 
     Shapes are (channels, h, w) tuples, or a feature count once the network
     has flattened.  Raises on geometry the network cannot have: a kernel
     larger than its input, a stride that does not divide (dim - kernel), a
-    convolution after the flatten, or weights of another shape than the
-    layer declares.  This is the one walk of a network's shapes; every other
-    reader takes its shapes from it.
+    convolution after the flatten, weights of another shape than the layer
+    declares, or an input, a layer's weights or its output with more values
+    than a numpy array holds.  This is the one walk of a network's shapes;
+    every other reader takes its shapes from it.
     """
     shape = spec.input_shape
+    if math.prod(shape) > _MAX_SIZE:
+        raise ValueError(f"input shape {shape} has more values than a numpy array holds")
     for i, layer in enumerate(spec.layers):
+        # an activation's output is its input, which is already checked
         if isinstance(layer, ConvLayer):
             if not isinstance(shape, tuple):
                 raise ValueError(f"layer {i}: conv after flatten is not supported")
             cin, h, w = shape
             kh, kw = layer.kernel
-            out = (
-                layer.channels_out,
-                _conv_out(h, kh, layer.stride, i, "height"),
-                _conv_out(w, kw, layer.stride, i, "width"),
-            )
-            wshape = (layer.channels_out, cin, kh, kw)
+            cout = layer.channels_out
+            oh = _conv_out(h, kh, layer.stride, i, "height")
+            ow = _conv_out(w, kw, layer.stride, i, "width")
+            out, wshape = (cout, oh, ow), (cout, cin, kh, kw)
+            if cout * cin * kh * kw > _MAX_SIZE or cout * oh * ow > _MAX_SIZE:
+                raise _too_large(i, wshape, out)
         elif isinstance(layer, ActivationLayer):
             out, wshape = shape, None
         elif isinstance(layer, FullyConnectedLayer):
             feats = math.prod(shape) if isinstance(shape, tuple) else shape
             out, wshape = layer.units, (layer.units, feats)
+            if layer.units * feats > _MAX_SIZE:
+                raise _too_large(i, wshape, out)
         else:
             raise ValueError(f"layer {i}: unsupported layer kind {type(layer).__name__}")
         weights = getattr(layer, "weights", None)

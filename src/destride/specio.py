@@ -22,8 +22,10 @@ keys shown (_KEYS lists them), except that "weights", "transform",
                     "input_map": {"stride": s, "entries": [[k, p, q], ...]}}
     }
 
-A sidecar "path" is relative to the document's directory, and the file it
-names is raw little-endian float64, layers concatenated in index order.
+A sidecar "path" is relative to the document's directory (the writer
+records the sidecar's base name, the reader takes any relative path), and
+the file it names is raw little-endian float64, layers concatenated in
+index order.
 "crc32" is zlib.crc32 of the sidecar's bytes.  The writer always records
 it, and the reader refuses a sidecar whose bytes do not match it; a
 sidecar document without the key (as benchmarks/reference.py writes its
@@ -46,13 +48,15 @@ string per object kind (document, each layer kind, sidecar weights,
 transform), passes every string through json's C encode_basestring_ascii,
 writes the input map's entries as one %-formatted block and each inline
 weight array as C-encoded chunks (_inline_array), and writes a sidecar's
-bytes in one call.  It spells each path once as pathlib does ("a//./b" as
-"a/b"), the spelling its messages give, refuses one that ends in a
-separator ("out/" names a directory), or one whose directory is missing,
-before it writes either file, and works on the strings through os.path
-from there; the default sidecar is the name Path.with_suffix(".weights.bin")
-gives (_with_suffix), so "x." has the sidecar "x..weights.bin".  Both
-files are replaced in place (_write_over): an existing file is written over from its start, keeping its inode, and then,
+bytes in one call.  It spells the document's path once as pathlib does
+("a//./b" as "a/b"), the spelling its messages give, refuses one that ends
+in a separator ("out/" names a directory), or one whose directory is
+missing, before it writes either file, and works on the strings through
+os.path from there.  The sidecar is always the name
+Path(document).with_suffix(".weights.bin") gives, beside the document
+("x." has the sidecar "x..weights.bin"), and the document records its base
+name.  Both files are replaced in place (_write_over): an existing file is
+written over from its start, keeping its inode, and then,
 if it was longer, cut to the new length; a target that is not a regular
 file, such as /dev/null or a FIFO, is written but not cut.  The sidecar is
 written before its document, so a writer stopped anywhere in between,
@@ -491,15 +495,14 @@ def _layer_text(layer) -> str:
     return _DENSE % layer.units
 
 
-def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None) -> None:
+def save_document(path, doc: SpecDocument, weights_mode=None) -> None:
     """Write a document; weights_mode None stores no weights, "inline" embeds
-    them as decimal arrays, "sidecar" writes <document>.weights.bin next to
-    the JSON (or sidecar_path) and references it by its path relative to the
-    document's directory, which is where the reader looks it up."""
+    them as decimal arrays, "sidecar" writes <document>.weights.bin beside
+    the JSON and records its name, which the reader looks up in the
+    document's directory."""
     if weights_mode not in (None, "inline", "sidecar"):
         raise ValueError(f"unknown weights mode {weights_mode!r}")
     path = _spelt(path)
-    sidecar = _spelt(sidecar_path) if sidecar_path else None
     network = doc.network
     # The skeleton is the formats above, filled in: the schema is closed
     # (_KEYS), so no general-purpose encoder walks the document.  Each inline
@@ -527,7 +530,7 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
                 parts += [',' if n else '', f'\n   "{i}": ', *_inline_array(w)]
             parts.append("\n  }\n }")
         else:
-            sidecar = sidecar or _with_suffix(path, ".weights.bin")
+            sidecar = str(Path(path).with_suffix(".weights.bin"))
             # the sidecar is written first, so a missing directory is named
             # by the document, as it is in the other modes
             if not os.path.isdir(os.path.dirname(path) or os.curdir):
@@ -536,7 +539,7 @@ def save_document(path, doc: SpecDocument, weights_mode=None, sidecar_path=None)
             _write_over(sidecar, [blob], "wb")
             lengths = [f'"{i}": {w.size}' for i, w in carrying.items()]
             parts.append(_SIDECAR % (
-                _string(os.path.relpath(sidecar, os.path.dirname(path) or os.curdir)),
+                _string(os.path.basename(sidecar)),
                 _items(lengths, 2, "{}"),
                 zlib.crc32(blob),
             ))
@@ -561,17 +564,6 @@ def _spelt(path) -> str:
     if given.endswith(tuple(filter(None, (os.sep, os.altsep)))):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), spelt)
     return spelt
-
-
-def _with_suffix(path: str, suffix: str) -> str:
-    """str(Path(path).with_suffix(suffix)) for a path pathlib has spelt: the
-    name's old suffix runs from its last dot, unless that dot starts or ends
-    the name ("x." becomes "x." + suffix, ".json" keeps its dot)."""
-    name = os.path.basename(path)
-    if name in ("", os.curdir):
-        return str(Path(path).with_suffix(suffix))  # pathlib's "empty name" error
-    dot = name.rfind(".")
-    return (path[: len(path) - len(name) + dot] if 0 < dot < len(name) - 1 else path) + suffix
 
 
 def _write_over(path, parts, mode: str) -> None:

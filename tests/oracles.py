@@ -232,7 +232,7 @@ def verify_loop(original, transformed, entries, s, trials, seed):
     return devs
 
 
-def document_text(path, doc, weights_mode=None, sidecar_path=None):
+def document_text(path, doc, weights_mode=None):
     """The text a spec document is saved as: the whole document as one dict
     through json.dumps(indent=1), as the writer built it before splicing in
     its weight arrays.  The sidecar itself is not written.  Layers are told
@@ -266,7 +266,7 @@ def document_text(path, doc, weights_mode=None, sidecar_path=None):
             "arrays": {str(i): w.ravel().tolist() for i, w in carrying.items()},
         }
     elif weights_mode == "sidecar" and carrying:
-        sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".weights.bin")
+        sidecar = path.with_suffix(".weights.bin")
         out["weights"] = {
             "mode": "sidecar",
             "path": os.path.relpath(sidecar, path.parent),

@@ -1,8 +1,9 @@
-"""The claim arithmetic of tools/bench_pairs.py, on synthetic runs: no
-benchmark is started."""
+"""The claim arithmetic of tools/bench_pairs.py, on synthetic runs, and its
+export of a commit, from a one-commit repository: no benchmark is started."""
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -203,3 +204,23 @@ def test_a_session_goes_on_past_a_failed_run(tmp_path, monkeypatch, capsys):
     assert entry["attempted"] == {"parent": 10, "change": 5}
     assert entry["summary"]["transform_s"]["pairs"] == 1
     assert "zoo pair 2 seed 6 change: failed (exit code 3)" in capsys.readouterr().out
+
+
+def test_export_unpacks_the_committed_files_and_leaves_no_archive(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "sub").mkdir()
+    (repo / "sub" / "f.txt").write_bytes(b"committed\n")
+    env = {"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t", "GIT_COMMITTER_NAME": "t",
+           "GIT_COMMITTER_EMAIL": "t@t", "HOME": str(tmp_path), "PATH": os.environ["PATH"]}
+    for argv in (["init", "-q"], ["add", "sub/f.txt"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(["git", *argv], cwd=repo, check=True, env=env)
+    # a change after the commit is not exported
+    (repo / "sub" / "f.txt").write_bytes(b"uncommitted\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "out"
+    out.mkdir()
+    tree = bench_pairs.export("HEAD", out / "tree")
+    assert tree == out / "tree"
+    assert (tree / "sub" / "f.txt").read_bytes() == b"committed\n"
+    assert sorted(p.name for p in out.iterdir()) == ["tree"]

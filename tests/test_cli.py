@@ -142,20 +142,37 @@ def test_transform_divisibility_error_exit3(tmp_path, capsys):
 
 
 def test_transform_geometry_error_exit3(tmp_path, capsys):
-    # (4 - 3) % 2 != 0: the layer walk itself rejects the conv
-    raw = {
-        "schema_version": 1,
-        "network": {"name": "g", "input_shape": [1, 4, 4], "layers": [
-            {"kind": "conv", "channels_out": 2, "kernel": [3, 3], "stride": 2},
-            {"kind": "fully_connected", "units": 3},
-        ]},
-    }
-    p = tmp_path / "g.json"
-    p.write_text(json.dumps(raw))
-    rc = main(["transform", str(p), str(tmp_path / "o.json")])
-    assert rc == 3
-    assert "layer 0" in capsys.readouterr().err
-    assert not (tmp_path / "o.json").exists()
+    # (4 - 3) % 2 != 0: the layer walk itself rejects the conv; so it does
+    # 10**20 channels, more weights and outputs than a numpy array holds
+    for shape, conv in (([1, 4, 4], {"channels_out": 2, "kernel": [3, 3], "stride": 2}),
+                        ([1, 8, 8], {"channels_out": 10**20, "kernel": [2, 2], "stride": 2})):
+        raw = {
+            "schema_version": 1,
+            "network": {"name": "g", "input_shape": shape, "layers": [
+                {"kind": "conv", **conv},
+                {"kind": "fully_connected", "units": 3},
+            ]},
+        }
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(raw))
+        rc = main(["transform", str(p), str(tmp_path / "o.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 29.1 TiB")])
+def test_out_of_memory_is_one_error_line_and_exit_3(pair, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "parameter_report", fail)
+    rc = main(["report", str(pair / "orig.json"), str(pair / "trans.json")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    want = f"error: out of memory: {error}" if str(error) else "error: out of memory"
+    assert captured.err == want + "\n"
 
 
 def test_transform_missing_input_exit4(tmp_path, capsys):
@@ -446,10 +463,10 @@ def test_report_json_round_trips(tmp_path, capsys):
 
 
 # sha256 of each output below as json.dumps(..., indent=1) spelled it when
-# it wrote every document and every --json output: the format strings and
-# flat C-encoder calls that write them now must give the same bytes.  The
-# sidecar-mode original and document digests are of documents that carry
-# their sidecar's crc32.
+# it wrote every document and every --json output: the format strings that
+# write the documents now must give the same bytes.  The sidecar-mode
+# original and document digests are of documents that carry their
+# sidecar's crc32.
 GOLDEN_DIGESTS = {
     "lenet-inline:original":
         "03b461d0afeb362aa43270a7eaf2666edc5431e5437a4cf825625b518ab0ba1e",

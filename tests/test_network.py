@@ -81,6 +81,24 @@ def test_infer_shapes_rejects_conv_after_flatten():
         infer_shapes(spec)
 
 
+def test_infer_shapes_refuses_layers_beyond_numpy_by_index():
+    most = np.iinfo(np.intp).max
+    # exactly the largest size numpy holds, as weights and as outputs
+    assert infer_shapes(NetworkSpec("x", (1, 1, 1), (FullyConnectedLayer(most),))) == [most]
+    refused = [
+        ((1, 1, 1), (ActivationLayer(), FullyConnectedLayer(most + 1))),  # both
+        ((1, 2, 1), (ActivationLayer(), FullyConnectedLayer(most // 2 + 1))),  # weights
+        ((1, 2**16, 2**16), (ActivationLayer(), ConvLayer(2**32, (1, 1)))),  # outputs
+        ((2**32, 2, 1), (ConvLayer(2**31, (2, 1)),)),  # weights of a conv
+    ]
+    for shape, layers in refused:
+        spec = NetworkSpec("x", shape, layers)
+        with pytest.raises(ValueError, match=rf"^layer {len(layers) - 1}: .*\({most}\)$"):
+            infer_shapes(spec)
+    with pytest.raises(ValueError, match="input shape"):
+        infer_shapes(NetworkSpec("x", (1, 2**32, 2**32), (ActivationLayer(),)))
+
+
 def test_infer_shapes_checks_weight_shapes():
     bad_conv = NetworkSpec(
         "x", (2, 4, 4), (ConvLayer(3, (2, 2), 1, weights=np.zeros((3, 1, 2, 2))),)

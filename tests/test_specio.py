@@ -113,16 +113,19 @@ def test_round_trip_sidecar_weights_bit_identical(tmp_path):
 
 
 def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatch):
-    # sidecar_path is relative to the working directory, the document's
-    # "path" to the document's directory
+    # the writer records the sidecar's base name, but a document from
+    # elsewhere may name any path, relative to the document's directory
     monkeypatch.chdir(tmp_path)
     spec = _small_net(seed=2)
     (tmp_path / "docs" / "sub").mkdir(parents=True)
     (tmp_path / "other").mkdir()
     for sidecar, recorded in (("other/w.bin", "../other/w.bin"), ("docs/sub/w.bin", "sub/w.bin")):
-        save_document("docs/a.json", SpecDocument(network=spec), weights_mode="sidecar",
-                      sidecar_path=sidecar)
-        assert json.loads(Path("docs/a.json").read_text())["weights"]["path"] == recorded
+        save_document("docs/a.json", SpecDocument(network=spec), weights_mode="sidecar")
+        text = Path("docs/a.json").read_text()
+        assert json.loads(text)["weights"]["path"] == "a.weights.bin"
+        # the same bytes elsewhere, so the recorded crc32 still holds
+        Path("docs/a.weights.bin").rename(sidecar)
+        Path("docs/a.json").write_text(text.replace('"a.weights.bin"', json.dumps(recorded)))
         # weights compared by np.array_equal
         assert _networks_equal(spec, load_document("docs/a.json").network)
     # by default the sidecar is the name pathlib's with_suffix gives, beside
@@ -140,13 +143,9 @@ def test_relative_sidecar_path_outside_document_dir_reloads(tmp_path, monkeypatc
     d = Path("beside-dir")
     d.mkdir()
     for mode in ("inline", "sidecar"):
-        for path, sidecar in (("beside-dir/out.json/", None),
-                              ("beside-dir/out.json", "beside-dir//w.bin/")):
-            spelt = "beside-dir/w.bin" if sidecar else "beside-dir/out.json"
-            with pytest.raises(IsADirectoryError) as e:
-                save_document(path, SpecDocument(network=spec), weights_mode=mode,
-                              sidecar_path=sidecar)
-            assert str(e.value) == f"[Errno 21] Is a directory: '{spelt}'"
+        with pytest.raises(IsADirectoryError) as e:
+            save_document("beside-dir//out.json/", SpecDocument(network=spec), weights_mode=mode)
+        assert str(e.value) == "[Errno 21] Is a directory: 'beside-dir/out.json'"
     assert list(d.iterdir()) == []
 
 
@@ -859,8 +858,8 @@ def test_a_left_out_optional_key_loads_as_its_spelt_default(tmp_path, lenet):
     for spec, mode in cases:
         for doc in (SpecDocument(network=spec), _transformed(spec)):
             name = f"{doc.network.name} {mode}"
-            save_document(spelt, doc, weights_mode=mode,
-                          sidecar_path=tmp_path / "w.bin" if mode == "sidecar" else None)
+            # the short document names the spelt one's sidecar
+            save_document(spelt, doc, weights_mode=mode)
             text = spelt.read_text()
             short.write_text(_defaults_left_out(text))
             assert short.read_text() != text, name
@@ -1098,12 +1097,6 @@ def test_saved_bytes_equal_single_dumps_on_edge_cases(tmp_path):
             save_document(p, doc, weights_mode=mode)
             assert p.read_bytes() == document_text(p, doc, weights_mode=mode).encode(), (
                 doc.network.name, mode)
-    # the sidecar named by path, as written next to the document or elsewhere
-    for sidecar in (tmp_path / "w.bin", tmp_path / "sub" / "w.bin"):
-        sidecar.parent.mkdir(exist_ok=True)
-        save_document(p, docs[1], weights_mode="sidecar", sidecar_path=sidecar)
-        assert p.read_bytes() == document_text(
-            p, docs[1], weights_mode="sidecar", sidecar_path=sidecar).encode()
 
 
 def test_save_inline_peak_memory_is_bounded_by_the_text(tmp_path):

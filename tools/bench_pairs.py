@@ -54,7 +54,7 @@ def export(rev: str, tree: Path) -> Path:
     with open(archive, "wb") as f:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=f)
     with tarfile.open(archive) as tar:
-        tar.extractall(tree)
+        tar.extractall(tree, filter="data")
     archive.unlink()
     return tree
 
