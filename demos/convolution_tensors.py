@@ -4,11 +4,14 @@ A valid 2-D correlation can be packaged as a rank-4 tensor acting on the
 image. This walkthrough builds that tensor for a small filter, checks the
 contraction against the sliding-window result, and recovers the filter
 back out of the tensor.
+
+The lemmas live in tests/lemmas.py, beside their checks; run from the
+repository root with PYTHONPATH=src:tests python3 demos/convolution_tensors.py
 """
 
 import numpy as np
 
-from destride import (
+from lemmas import (
     build_conv_tensor,
     conv2d,
     extract_filter,

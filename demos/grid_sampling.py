@@ -4,11 +4,14 @@ sample_matrix(x, (m, n, s)) keeps every s-th row starting at row m and
 every s-th column starting at column n (1-based). The s*s offset choices
 partition the matrix, composing two samplings multiplies the strides, and
 padding shifts which grid each element lands on.
+
+The lemmas live in tests/lemmas.py, beside their checks; run from the
+repository root with PYTHONPATH=src:tests python3 demos/grid_sampling.py
 """
 
 import numpy as np
 
-from destride import (
+from lemmas import (
     SamplingSpec,
     compose_sampling,
     partition_cover_check,

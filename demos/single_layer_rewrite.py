@@ -4,11 +4,14 @@ A stride-s correlation only ever pairs filter entries with image entries
 from matching offset grids. Splitting both the filter and the image into
 their s*s grid samples therefore turns one strided layer into s*s
 unit-stride layers whose outputs add up to the original response.
+
+The lemmas live in tests/lemmas.py, beside their checks; run from the
+repository root with PYTHONPATH=src:tests python3 demos/single_layer_rewrite.py
 """
 
 import numpy as np
 
-from destride import conv2d, conv2d_strided, destride_layer
+from lemmas import conv2d, conv2d_strided, destride_layer
 
 # 1-D warm-up: stride 2 over an 8-wide row
 h = np.array([[1.0, 2.0, 3.0, 4.0]])

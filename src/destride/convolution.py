@@ -1,22 +1,17 @@
-"""Valid-mode correlation and its 4-D tensor form.
+"""Valid-mode multi-channel correlation, as an im2col product.
 
 "Convolution" here is the CNN convention: a sliding inner product with no
-kernel flip and no implicit padding.  Filters for the multi-channel case are
-4-D arrays indexed (out_channel, in_channel, row, col); feature maps are 3-D
-arrays indexed (channel, row, col), or 4-D with a leading batch axis.
+kernel flip and no implicit padding.  Filters are 4-D arrays indexed
+(out_channel, in_channel, row, col); feature maps are 3-D arrays indexed
+(channel, row, col), or 4-D with a leading batch axis.
 
 conv_multichannel is an im2col product.  Its plan (Im2col) holds a gather
 index: the flat position in one feature map of every value of that map's
 column matrix, built once from the shapes.  Applying it is one take and
 one matrix product (per slice of a batch too large for one), and a 1x1
-stride-1 conv skips the take, multiplying its input where it lies.  network.forward keeps the plans of a
-network's convs; a direct call to conv_multichannel builds its plan anew.
-
-build_conv_tensor re-expresses a single filter as the 4-D tensor whose
-tensor_product with the image equals the correlation.  Because the product
-pairs tensor dimension 3 with image columns and dimension 4 with image rows,
-each filter placement is stored transposed; is_conv_tensor and
-extract_filter are written against that layout.
+stride-1 conv skips the take, multiplying its input where it lies.
+network.forward keeps the plans of a network's convs; a direct call to
+conv_multichannel builds its plan anew.
 """
 
 from __future__ import annotations
@@ -24,25 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensors import as_matrix, as_tensor4
-
-
-def conv2d(filt, image) -> np.ndarray:
-    """Valid-mode correlation of a single filter with a single image.
-
-    out[i, j] = sum over (u, v) of filt[u, v] * image[i + u - 1, j + v - 1]
-    in 1-based indices; output shape (rows - a + 1) x (cols - b + 1).
-    """
-    return conv2d_strided(filt, image, 1)
-
-
-def conv2d_strided(filt, image, stride: int) -> np.ndarray:
-    """Correlation keeping only every stride-th output row and column: the
-    one-channel case of conv_multichannel."""
-    h = as_matrix(filt)
-    x = as_matrix(image)
-    return conv_multichannel(h[None, None], x[None], stride)[0]
 
 
 def conv_multichannel(weights, feature_map, stride: int = 1) -> np.ndarray:
@@ -171,61 +147,3 @@ class Im2col:
             # a temporary, so one slice's column matrix is freed before the next is made
             np.matmul(kernel, items[i : i + step].take(index, axis=-1), out=out[i : i + step])
         return out
-
-
-def build_conv_tensor(filt, image_shape) -> np.ndarray:
-    """The 4-D tensor T with tensor_product(T, image) == conv2d(filt, image)
-    for every image of the given (rows, cols) shape.
-
-    T has shape (c-a+1, d-b+1, d, c).  Slice [i, j] carries the filter placed
-    for output position (i, j), transposed to match tensor_product's pairing:
-    in 1-based indices T[i, j, k, l] = filt[l-i+1, k-j+1] where defined.
-    """
-    h = as_matrix(filt)
-    c, d = int(image_shape[0]), int(image_shape[1])
-    a, b = h.shape
-    if a > c or b > d:
-        raise ValueError(f"filter {h.shape} larger than image ({c}, {d})")
-    t = np.zeros((c - a + 1, d - b + 1, d, c))
-    ht = h.T
-    for i in range(c - a + 1):
-        for j in range(d - b + 1):
-            t[i, j, j : j + b, i : i + a] = ht
-    return t
-
-
-def is_conv_tensor(t) -> bool:
-    """True iff the tensor is generated by some filter via build_conv_tensor.
-
-    The generating filter's size is forced by the tensor shape, and its
-    values by the top-left block of slice [0, 0], so one exact rebuild
-    settles the question.  This subsumes the two diagonal shift equalities
-    T[i, j, k, l] == T[i+1, j, k, l+1] and T[i, j, k, l] == T[i, j+1, k+1, l];
-    those alone leave the four support-corner cells of slice boundaries
-    unconstrained, so a rebuilt comparison is the complete check.
-    """
-    t = as_tensor4(t)
-    out_h, out_w, d, c = t.shape
-    a = c - out_h + 1
-    b = d - out_w + 1
-    if a < 1 or b < 1:
-        return False
-    return np.array_equal(t, build_conv_tensor(t[0, 0, :b, :a].T, (c, d)))
-
-
-def extract_filter(t) -> np.ndarray:
-    """Recover the generating filter of a convolutional tensor.
-
-    Reads the minimal top-left bounding box of nonzeros in slice [1, 1] and
-    undoes the transposed storage.  An all-zero tensor yields a 1x1 zero
-    filter by convention (zero filters legitimately arise from sampling
-    padded filters).
-    """
-    t = as_tensor4(t)
-    if not is_conv_tensor(t):
-        raise ValueError("not a convolutional tensor")
-    plane = t[0, 0]
-    nz = np.argwhere(plane != 0)
-    if nz.size == 0:
-        return np.zeros((1, 1))
-    return plane[: nz[:, 0].max() + 1, : nz[:, 1].max() + 1].T.copy()

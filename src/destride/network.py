@@ -15,8 +15,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convolution import Im2col
-from .sampling import RaggedSamplingError
-from .tensors import _integer
+
+
+class RaggedSamplingError(ValueError):
+    """A dimension that a stride must divide and does not, such as a conv
+    input that its cumulative stride does not divide."""
+
+
+def _integer(value, field: str) -> int:
+    """value as an int: an int, a numpy integer or an integral float.  A bool
+    (an int subclass) or a float with a fraction is a ValueError naming the
+    field, rather than a silent 0/1 or a truncation.  The one rule for
+    integer fields (sizes, strides, units) across the library."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),

@@ -1,4 +1,4 @@
-"""Stride elimination for single layers and whole networks.
+"""Stride elimination for whole networks.
 
 The single-layer fact: a stride-s correlation equals a sum of stride-1
 correlations between grid samples of the filter and of the image, one term
@@ -6,7 +6,8 @@ per grid offset (p, q).  More generally, sampling the output of a full
 correlation on an (m, n, s) grid equals summing, over all (p, q) offsets,
 the correlations of the (p, q)-sampled image against the (p, q)-sampled
 filter once the filter has been realigned by prepending m-1 zero rows and
-n-1 zero columns.
+n-1 zero columns.  The tests state and check these lemmas
+(tests/lemmas.py); the rewrite below needs only their closed form.
 
 The network rewrite applies this to every convolution.  A conv of stride s
 has an output-side multiplicity sigma_out (the product of all later strides)
@@ -58,10 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convolution import conv2d
-from .network import ConvLayer, NetworkSpec, _walk
-from .sampling import RaggedSamplingError, SamplingSpec, sample_matrix, zero_pad
-from .tensors import _integer, as_matrix
+from .network import _MAX_SIZE, ConvLayer, NetworkSpec, RaggedSamplingError, _too_large, _walk
 
 
 def channel_entries(channels: int, stride: int) -> tuple:
@@ -183,80 +181,6 @@ class TransformResult(NamedTuple):
     transformed_shapes: tuple
 
 
-def destride_layer(filt, image, stride: int):
-    """Split one strided correlation into stride-1 pieces.
-
-    Returns (filters, channels): equally shaped filter pieces and image
-    pieces such that the sum of their plain correlations equals
-    conv2d_strided(filt, image, stride).  Pieces are ordered by grid offset
-    (p, q), row offset outermost; filter pieces are zero-padded bottom/right
-    to a common shape.  Offsets whose image sample is empty are dropped
-    (their filter sample is empty too whenever the filter fits the image).
-
-    Each image dimension must be divisible by the stride or smaller than it;
-    anything else would make the image pieces ragged.
-    """
-    h = as_matrix(filt)
-    x = as_matrix(image)
-    stride = _integer(stride, "stride")
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    if h.shape[0] > x.shape[0] or h.shape[1] > x.shape[1]:
-        raise ValueError(f"filter {h.shape} larger than image {x.shape}")
-    for axis, dim in (("rows", x.shape[0]), ("cols", x.shape[1])):
-        if dim % stride != 0 and dim >= stride:
-            raise RaggedSamplingError(
-                f"image {axis} {dim} not divisible by stride {stride}"
-            )
-    pairs = [
-        (p, q)
-        for p in range(1, stride + 1)
-        for q in range(1, stride + 1)
-        if p <= x.shape[0] and q <= x.shape[1]
-    ]
-    # the rewrite's pieces of a one-channel conv at sigma_in = stride, one
-    # per (p, q), row offset outermost; the largest sample, offset (1, 1),
-    # is ceil(a/s) x ceil(b/s)
-    piece = (-(-h.shape[0] // stride), -(-h.shape[1] // stride))
-    window = _piece_window(h[None, None], 0.0, stride, stride, piece)[0]
-    filters = [window[(p - 1) * stride + q - 1] for p, q in pairs]
-    channels = [sample_matrix(x, (p, q, stride)) for p, q in pairs]
-    return filters, channels
-
-
-def sampled_conv_identity(filt, image, row_offset: int, col_offset: int, stride: int):
-    """Both sides of the sampled-correlation identity, for checking.
-
-    lhs: the (row_offset, col_offset, stride) grid sample of the full
-    correlation.  rhs: the sum over grid offsets (p, q) of correlations
-    between the (p, q)-sampled image and the (p, q)-sampled filter, the
-    filter first realigned by prepending row_offset-1 zero rows and
-    col_offset-1 zero columns; each term cropped top-left to the lhs shape.
-    Terms whose filter or image sample is empty contribute nothing.  The two
-    returned matrices agree up to float summation order.
-    """
-    h = as_matrix(filt)
-    x = as_matrix(image)
-    spec = SamplingSpec(row_offset, col_offset, stride)
-    # the spec's fields, so the loops below see the integers it checked
-    row_offset, col_offset, stride = spec.row_offset, spec.col_offset, spec.stride
-    lhs = sample_matrix(conv2d(h, x), spec)
-    rhs = np.zeros_like(lhs)
-    if lhs.size == 0:
-        return lhs, rhs
-    padded = zero_pad(h, row_offset - 1, col_offset - 1)
-    for p in range(1, stride + 1):
-        for q in range(1, stride + 1):
-            g = sample_matrix(padded, (p, q, stride))
-            xs = sample_matrix(x, (p, q, stride))
-            if g.size == 0 or xs.size == 0:
-                continue
-            # fits whenever lhs is non-empty; see module docstring
-            term = conv2d(g, xs)
-            rhs += term[: lhs.shape[0], : lhs.shape[1]]
-    return lhs, rhs
-
-
 def _piece_window(block, fill, stride: int, sig_in: int, piece) -> np.ndarray:
     """Every filter piece of the rewrite of one conv, copied once from one
     strided window over the zero-padded kernel.
@@ -327,7 +251,9 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
     ValueError naming the layer.  Requires every convolution input dimension
     divisible by that layer's cumulative stride and every (dim - kernel)
     divisible by the layer stride; violations raise RaggedSamplingError
-    naming the layer.
+    naming the layer.  A rewritten conv with more weights than a numpy array
+    holds is a ValueError naming the layer, as network._walk words it for
+    an original layer.
 
     The original's shapes are walked once (network._walk).  A feature map
     of multiplicity sigma and shape (c, h, w) is (c*sigma**2, h/sigma,
@@ -352,11 +278,18 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
             sig_out = sig // layer.stride
             _, h_out, w_out = out
             piece = (h // sig - h_out // sig_out + 1, w // sig - w_out // sig_out + 1)
+            cout = layer.channels_out * sig_out**2
+            # sigma_in**2 * sigma_out**2 pieces per original channel pair can
+            # hold more values than the original's kernels, and than numpy's
+            # arrays: refused here, before any weight or document is made
+            wshape = (cout, cin * sig * sig, *piece)
+            if math.prod(wshape) > _MAX_SIZE:
+                raise _too_large(i, wshape, (cout, h_out // sig_out, w_out // sig_out))
             weights = None
             if layer.weights is not None:
                 weights = _piece_window(layer.weights, 0.0, layer.stride, sig, piece)
             new_layers[i] = ConvLayer(
-                channels_out=layer.channels_out * sig_out**2,
+                channels_out=cout,
                 kernel=piece,
                 stride=1,
                 weights=weights,
@@ -380,8 +313,9 @@ def transform_network(spec: NetworkSpec) -> TransformResult:
         provenance=f"transformed-from:{spec.name}",
     )
     # no walk of the result: each piece is at most h/sigma_in per axis, the
-    # channels are c*sigma**2 and _piece_window shapes the weights, so it
-    # shape-checks by construction, and forward plans it through the walk
+    # channels are c*sigma**2, each conv's weight count is checked above and
+    # _piece_window shapes the weights, so it shape-checks by construction,
+    # and forward plans it through the walk
     return TransformResult(transformed, input_map, _SourceMaps(geometry),
                            tuple(shapes), tuple(transformed_shapes))
 

@@ -17,24 +17,26 @@ from destride import (
     ConvLayer,
     FullyConnectedLayer,
     NetworkSpec,
+    infer_shapes,
+    init_params,
+    parameter_report,
+    transform_network,
+    verify_equivalence,
+)
+
+from lemmas import (
     build_conv_tensor,
     conv2d,
     conv2d_strided,
     destride_layer,
     extract_filter,
-    infer_shapes,
-    init_params,
     is_conv_tensor,
-    parameter_report,
     sample_matrix,
     sample_tensor,
     sampled_conv_identity,
     tensor_product,
-    transform_network,
-    verify_equivalence,
     zero_pad,
 )
-
 from oracles import slide_correlate, slide_correlate_strided
 
 

@@ -22,6 +22,7 @@ from destride import (
     FullyConnectedLayer,
     NetworkSpec,
     SpecDocument,
+    TransformMetadata,
     infer_shapes,
     init_params,
     load_document,
@@ -162,6 +163,37 @@ def test_transform_geometry_error_exit3(tmp_path, capsys):
         assert not (tmp_path / "o.json").exists()
 
 
+def test_a_rewrite_too_large_for_numpy_is_refused_by_layer(tmp_path, capsys):
+    # the original fits: 2**60 channels at 1x1, then a stride-2 conv.  Its
+    # rewrite's first conv has 2**62 channels of 4 inputs, 2**64 weights
+    raw = {
+        "schema_version": 1,
+        "network": {"name": "wide", "input_shape": [1, 2, 2], "layers": [
+            {"kind": "conv", "channels_out": 2**60, "kernel": [1, 1]},
+            {"kind": "conv", "channels_out": 1, "kernel": [2, 2], "stride": 2},
+        ]},
+    }
+    orig = tmp_path / "wide.json"
+    orig.write_text(json.dumps(raw))
+    # a document linked to it, for report, which rewrites the original first
+    linked = tmp_path / "linked.json"
+    save_document(linked, SpecDocument(
+        network=NetworkSpec("wide-destrided", (4, 1, 1), (ConvLayer(1, (1, 1)),)),
+        transform=TransformMetadata("wide", ChannelMap(2, [(1, p, q) for p in (1, 2)
+                                                          for q in (1, 2)])),
+    ))
+    for args in (["transform", str(orig), str(tmp_path / "o.json")],
+                 ["report", str(orig), str(linked)]):
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "", args
+        assert captured.err.startswith("error: layer 0: 18446744073709551616 weights, ")
+        assert captured.err.endswith(": more values than a numpy array holds "
+                                     f"({np.iinfo(np.intp).max})\n")
+        assert len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linked.json", "wide.json"]
+
+
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 29.1 TiB")])
 def test_out_of_memory_is_one_error_line_and_exit_3(pair, capsys, monkeypatch, error):
     def fail(*args):
@@ -290,7 +322,7 @@ def test_verify_trials_zero_is_usage_error(pair, capsys):
 
 def test_seed_must_be_nonnegative(pair, capsys):
     verify = ["verify", str(pair / "orig.json"), str(pair / "trans.json"), "--trials", "2"]
-    selftest = ["selftest", "--property", "grid-partition"]
+    selftest = ["selftest"]
     for args in (verify, selftest):
         assert main(args + ["--seed", "-1"]) == 2
         assert "non-negative integer" in capsys.readouterr().err
@@ -932,22 +964,37 @@ def test_selftest_all_pass(capsys):
     rc = main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "8/8 properties passed" in out
-    assert out.count("PASS") == 8
-
-
-def test_selftest_property_filter(capsys):
-    rc = main(["selftest", "--property", "sampled-conv-identity"])
-    out = capsys.readouterr().out
-    assert rc == 0
     assert "1/1 properties passed" in out
-    assert "sampled-conv-identity" in out
+    assert out.count("PASS") == 1
+
+
+# the network property's text as the eight-property suite printed it for
+# these seeds: drawn from the same generator, it keeps its bytes
+SELFTEST_LINES = {
+    0: "PASS network-destride         10 random networks equivalent, "
+       "worst deviation 4.26e-14",
+    7: "PASS network-destride         10 random networks equivalent, "
+       "worst deviation 1.71e-13",
+}
+
+
+def test_selftest_prints_the_network_property_for_its_seed(capsys):
+    for seed, line in SELFTEST_LINES.items():
+        assert main(["selftest", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == (
+            f"selftest seed {seed}\n{line}\n1/1 properties passed\n"
+        )
+
+
+def test_selftest_takes_no_property_filter(capsys):
+    assert main(["selftest", "--property", "network-destride"]) == 2
+    assert "unrecognized arguments: --property" in capsys.readouterr().err
 
 
 def test_python_m_destride_runs_the_cli_from_a_checkout():
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-m", "destride", "selftest", "--property", "sampled-conv-identity"],
+        [sys.executable, "-m", "destride", "selftest", "--seed", "1"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -955,17 +1002,11 @@ def test_python_m_destride_runs_the_cli_from_a_checkout():
 
 
 def test_selftest_seed_reproducible(capsys):
-    args = ["selftest", "--seed", "5", "--property", "grid-partition"]
+    args = ["selftest", "--seed", "5"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
-
-
-def test_selftest_unknown_property_is_usage_error(capsys):
-    rc = main(["selftest", "--property", "no-such-check"])
-    assert rc == 2
-    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -985,14 +1026,6 @@ def test_usage_error_does_not_leak_into_the_next_call(pair, capsys):
     second = capsys.readouterr()
     assert "PASS" in second.out
     assert second.err == ""
-
-
-def test_repeated_property_filter_does_not_accumulate(capsys):
-    for _ in range(2):
-        assert main(["selftest", "--property", "grid-partition"]) == 0
-        out = capsys.readouterr().out
-        assert "1/1 properties passed" in out
-        assert out.count("PASS") == 1
 
 
 def test_option_values_do_not_leak_into_the_next_call(pair, capsys):

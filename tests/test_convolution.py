@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from destride import (
+from destride import conv_multichannel
+from destride.convolution import Im2col
+
+from lemmas import (
     build_conv_tensor,
     conv2d,
     conv2d_strided,
-    conv_multichannel,
     extract_filter,
     is_conv_tensor,
     sample_matrix,
@@ -17,8 +19,6 @@ from destride import (
     tensor_product,
     zero_pad,
 )
-from destride.convolution import Im2col
-
 from oracles import einsum_conv, multichannel_forward, slide_correlate, slide_correlate_strided
 
 # batched im2col products against one-input einsums and loops: the summation

@@ -16,9 +16,10 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 
 
 def _run(args):
+    # the package, and the lemma kit (tests/lemmas.py) the lemma demos import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from destride import (
-    RaggedSamplingError,
+from destride import RaggedSamplingError
+
+from lemmas import (
     SamplingSpec,
     compose_sampling,
     partition_cover_check,
@@ -10,7 +11,6 @@ from destride import (
     sample_tensor,
     zero_pad,
 )
-
 from oracles import grid_sample
 
 

@@ -1,43 +1,17 @@
-import pytest
-
-from destride import PROPERTY_NAMES, format_report, run_selftest
-
-
-def test_property_names_stable():
-    assert PROPERTY_NAMES == (
-        "grid-partition",
-        "sampling-composition",
-        "conv-tensor-structure",
-        "conv-as-tensor-product",
-        "double-sampling",
-        "sampled-conv-identity",
-        "single-layer-destride",
-        "network-destride",
-    )
+from destride import format_report, run_selftest
 
 
 def test_run_selftest_all_properties_pass():
     results = run_selftest(seed=0)
-    assert len(results) == len(PROPERTY_NAMES)
+    assert [r.name for r in results] == ["network-destride"]
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
-def test_run_selftest_name_filter():
-    results = run_selftest(seed=0, names=["double-sampling"])
-    assert [r.name for r in results] == ["double-sampling"]
-    assert results[0].passed
-
-
-def test_run_selftest_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown properties"):
-        run_selftest(seed=0, names=["double-sampling", "no-such-check"])
-
-
 def test_format_report_deterministic():
-    results = run_selftest(seed=7, names=["grid-partition", "conv-as-tensor-product"])
+    results = run_selftest(seed=7)
     a = format_report(results, seed=7)
-    b = format_report(run_selftest(seed=7, names=["grid-partition", "conv-as-tensor-product"]), seed=7)
+    b = format_report(run_selftest(seed=7), seed=7)
     assert a == b
     assert a.splitlines()[0] == "selftest seed 7"
-    assert a.splitlines()[-1] == "2/2 properties passed"
+    assert a.splitlines()[-1] == "1/1 properties passed"
     assert all(line.startswith("PASS") for line in a.splitlines()[1:-1])

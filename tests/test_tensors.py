@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from destride import tensor_product
-
+from lemmas import tensor_product
 from oracles import tensor_contract
 
 

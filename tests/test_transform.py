@@ -17,16 +17,12 @@ from destride import (
     RaggedSamplingError,
     SpecDocument,
     SpecFormatError,
-    conv2d,
     conv_multichannel,
-    destride_layer,
     forward,
     infer_shapes,
     init_params,
     load_document,
     reshape_input,
-    sample_matrix,
-    sampled_conv_identity,
     save_document,
     transform_network,
     verify_equivalence,
@@ -34,6 +30,7 @@ from destride import (
 from destride.selftest import _random_conv_stack
 from destride.transform import _conv_sources, _piece_window, channel_entries
 
+from lemmas import conv2d, destride_layer, sample_matrix, sampled_conv_identity
 from oracles import (
     axis_offsets,
     einsum_forward,
