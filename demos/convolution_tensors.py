@@ -5,8 +5,7 @@ image. This walkthrough builds that tensor for a small filter, checks the
 contraction against the sliding-window result, and recovers the filter
 back out of the tensor.
 
-The lemmas live in tests/lemmas.py, beside their checks; run from the
-repository root with PYTHONPATH=src:tests python3 demos/convolution_tensors.py
+Run from the repository root: PYTHONPATH=src:tests python3 demos/convolution_tensors.py
 """
 
 import numpy as np

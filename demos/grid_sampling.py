@@ -5,8 +5,7 @@ every s-th column starting at column n (1-based). The s*s offset choices
 partition the matrix, composing two samplings multiplies the strides, and
 padding shifts which grid each element lands on.
 
-The lemmas live in tests/lemmas.py, beside their checks; run from the
-repository root with PYTHONPATH=src:tests python3 demos/grid_sampling.py
+Run from the repository root: PYTHONPATH=src:tests python3 demos/grid_sampling.py
 """
 
 import numpy as np

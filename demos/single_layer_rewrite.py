@@ -5,8 +5,7 @@ from matching offset grids. Splitting both the filter and the image into
 their s*s grid samples therefore turns one strided layer into s*s
 unit-stride layers whose outputs add up to the original response.
 
-The lemmas live in tests/lemmas.py, beside their checks; run from the
-repository root with PYTHONPATH=src:tests python3 demos/single_layer_rewrite.py
+Run from the repository root: PYTHONPATH=src:tests python3 demos/single_layer_rewrite.py
 """
 
 import numpy as np

@@ -9,10 +9,6 @@ rests on, for the acceptance checks, the lemma tests and the demos.  It
 takes the library's integer rule (network._integer), its ragged-split
 error and its piece window from the package, so there is one of each.
 
-Matrices and 4-D tensors are plain float64 numpy arrays; as_matrix and
-as_tensor4 validate rank, and every function treats its inputs as
-immutable.
-
 A sampling spec (m, n, s) keeps the entries of a matrix at 1-based positions
 ((i-1)s + m, (j-1)s + n).  The s*s specs with 1 <= m, n <= s partition the
 matrix: every entry lands in exactly one sample.  zero_pad prepends zero
@@ -27,13 +23,8 @@ pairs tensor dimension 3 with image columns and dimension 4 with image rows,
 each filter placement is stored transposed; is_conv_tensor and
 extract_filter are written against that layout.
 
-The single-layer fact: a stride-s correlation equals a sum of stride-1
-correlations between grid samples of the filter and of the image, one term
-per grid offset (p, q).  More generally, sampling the output of a full
-correlation on an (m, n, s) grid equals summing, over all (p, q) offsets,
-the correlations of the (p, q)-sampled image against the (p, q)-sampled
-filter once the filter has been realigned by prepending m-1 zero rows and
-n-1 zero columns (sampled_conv_identity).
+The single-layer fact, as the destride.transform docstring states it, is
+what sampled_conv_identity checks and destride_layer realises.
 """
 
 from __future__ import annotations
